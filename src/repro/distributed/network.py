@@ -23,6 +23,7 @@ exchanged by the two strategies.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -38,21 +39,28 @@ from repro.trees.document import Tree
 #: Size of a control message (a call request or a boolean acknowledgement).
 CONTROL_MESSAGE_BYTES = 64
 
+#: How many of the most recent messages :attr:`Network.log` keeps.  A
+#: long-running server sends two per dirty publication forever; the
+#: totals live in the ledger, so older messages are dropped.
+LOG_CAPACITY = 4096
+
 
 @dataclass
 class Network:
     """The message log shared by all peers of a simulation.
 
     The log may be appended to from pool workers of the distributed runtime,
-    so every mutation is serialised by a lock.  Message/byte totals live in
-    a :class:`~repro.service.metrics.TrafficLedger` -- the same counter
-    implementation the network service uses for its socket accounting --
-    so a count never observes a half-appended batch and every layer of the
-    system means the same thing by "messages" and "bytes shipped".
+    so every mutation is serialised by a lock.  It keeps only the most
+    recent :data:`LOG_CAPACITY` messages.  Message/byte totals of *every*
+    message live in a :class:`~repro.service.metrics.TrafficLedger` -- the
+    same counter implementation the network service uses for its socket
+    accounting -- so a count never observes a half-appended batch and every
+    layer of the system means the same thing by "messages" and "bytes
+    shipped".
     """
 
     peers: dict[str, Peer] = field(default_factory=dict)
-    log: list[Message] = field(default_factory=list)
+    log: deque[Message] = field(default_factory=deque)
     ledger: TrafficLedger = field(default_factory=TrafficLedger, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -61,6 +69,7 @@ class Network:
         # driver reads it every round); seeded from any pre-filled log.
         for message in self.log:
             self.ledger.record(message.payload_bytes)
+        self.log = deque(self.log, maxlen=LOG_CAPACITY)
 
     def register(self, peer: Peer) -> Peer:
         self.peers[peer.name] = peer

@@ -6,41 +6,57 @@ node is activated, and it can validate that document against a *local type*
 (the ``τi`` a top-down design propagates to it).  Message sizes are measured
 in bytes of the serialised XML, which is what the validation-strategy
 benchmark reports.
+
+A peer's document is either a :class:`Tree` (API inputs, registration,
+the serial simulation) or, after a wire publication, a
+:class:`PublicationRecord`: wire publications go from bytes to verdict,
+so the peer holds the verdict and the content address of the bytes, not
+a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.typing import SchemaType
 from repro.engine.batch import BatchValidator
 from repro.errors import DesignError
 from repro.trees.document import Tree
-from repro.trees.xml_io import tree_to_xml
+from repro.trees.xml_io import tree_from_xml, tree_to_xml
 
 
 @dataclass(frozen=True)
-class StreamedDocument:
-    """What a peer holds after a *streamed* publication: verdict, not tree.
+class PublicationRecord:
+    """What a peer holds after a wire publication: a verdict, not a tree.
 
-    The streaming ingest path (:meth:`ValidationRuntime.publish_stream`)
-    validates a publication in one pass over its bytes and deliberately
-    retains no :class:`Tree` -- that is the whole point (O(depth) memory).
-    The peer keeps this content-addressed record instead: the payload's
-    wire fingerprint, the verdict, and the validator the verdict was
-    computed with.  Re-validating it returns the recorded verdict (same
-    bytes, same validator, same answer); doing so after the local type
-    changed is impossible without the bytes, so that raises a typed error
-    telling the caller to re-publish.
+    Both wire ingests validate straight from bytes and build no
+    :class:`Tree`: :meth:`ValidationRuntime.publish
+    <repro.distributed.runtime.runtime.ValidationRuntime.publish>` through
+    :meth:`BatchValidator.validate_payload`, :meth:`ValidationRuntime.publish_stream
+    <repro.distributed.runtime.runtime.ValidationRuntime.publish_stream>`
+    through the O(depth) streaming machine.  The peer keeps this
+    content-addressed record instead: the payload's wire fingerprint, the
+    verdict, and the validator the verdict was computed with.
+
+    A whole-frame publication also retains its ``payload`` bytes -- one
+    record per peer, so one payload per peer -- from which a replaced
+    local type re-validates and :meth:`ResourcePeer.answer` parses a tree
+    on demand.  A streamed publication retains none (``payload`` is
+    ``None``): that is its O(depth) memory promise, so after a typing
+    change it must be re-published.
     """
 
     fingerprint: str
     ack: bool
     validator: object
     payload_bytes: int
-    depth: int = 0
-    events: int = 0
+    payload: Optional[bytes] = field(default=None, repr=False)
+
+    @property
+    def streamed(self) -> bool:
+        """Was the publication streamed (no payload bytes retained)?"""
+        return self.payload is None
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,8 @@ class ResourcePeer(Peer):
     document:
         The document returned when the function is activated; its root is the
         dedicated root element ``s_i`` and only the forest below it is
-        attached to the kernel.
+        attached to the kernel.  After a wire publication this is the
+        publication's :class:`PublicationRecord`.
     local_type:
         The propagated local type ``τi``, when one has been assigned.
     validator:
@@ -90,7 +107,7 @@ class ResourcePeer(Peer):
     """
 
     function: str = ""
-    document: Optional[Tree] = None
+    document: Optional[Union[Tree, PublicationRecord]] = None
     local_type: Optional[SchemaType] = None
     validator: Optional[BatchValidator] = field(default=None, repr=False)
     calls: int = field(default=0, repr=False)
@@ -115,22 +132,44 @@ class ResourcePeer(Peer):
         )
 
     def answer(self) -> Tree:
-        """Return the document for a call of the resource (counts the call)."""
+        """Return the document for a call of the resource (counts the call).
+
+        A whole-frame publication's retained bytes are parsed on demand.
+        """
         if self.document is None:
             raise RuntimeError(f"peer {self.name!r} has no document for {self.function!r}")
-        if isinstance(self.document, StreamedDocument):
-            # Materialisation (the centralized strategy) needs the tree,
-            # which a streamed publication deliberately never built.
-            raise DesignError(
-                f"peer {self.name!r} holds a streamed publication; its tree was not "
-                "retained, so it cannot be materialised -- re-publish the document"
-            )
+        if isinstance(self.document, PublicationRecord):
+            if self.document.streamed:
+                # Materialisation (the centralized strategy) needs the tree,
+                # which a streamed publication deliberately never built.
+                raise DesignError(
+                    f"peer {self.name!r} holds a streamed publication; its bytes were not "
+                    "retained, so it cannot be materialised -- re-publish the document"
+                )
+            self.calls += 1
+            return tree_from_xml(self.document.payload)
         self.calls += 1
         return self.document
 
-    def update_document(self, document: Tree) -> None:
+    def update_document(self, document: Union[Tree, PublicationRecord]) -> None:
         """Replace the peer's document (e.g. a national bureau publishing new data)."""
         self.document = document
+
+    def publish_payload(self, fingerprint: str, payload: Union[bytes, str]) -> bool:
+        """Validate a whole wire payload from its bytes and hold its record.
+
+        No tree is built: the verdict comes from
+        :meth:`BatchValidator.validate_payload`, and the peer keeps a
+        :class:`PublicationRecord` retaining the bytes.  A malformed payload
+        raises :class:`~repro.errors.InvalidXMLError` and the peer keeps its
+        previous document.
+        """
+        if self.validator is None:
+            raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
+        data = payload.encode("utf-8") if isinstance(payload, str) else payload
+        ack = self.validator.validate_payload(data)
+        self.document = PublicationRecord(fingerprint, ack, self.validator, len(data), data)
+        return ack
 
     def validate_locally(self) -> bool:
         """Validate the peer's own document against its local type.
@@ -142,16 +181,18 @@ class ResourcePeer(Peer):
             raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
         if self.document is None:
             return False
-        if isinstance(self.document, StreamedDocument):
-            # A streamed publication kept no tree: the verdict recorded at
-            # stream time is authoritative for those bytes -- but only
-            # against the validator it was computed with.
-            if self.document.validator is not self.validator:
+        if isinstance(self.document, PublicationRecord):
+            record = self.document
+            # The recorded verdict is authoritative for those bytes -- but
+            # only against the validator it was computed with.
+            if record.validator is self.validator:
+                return record.ack
+            if record.streamed:
                 raise DesignError(
                     f"peer {self.name!r} holds a streamed publication validated against a "
                     "replaced local type; the payload was not retained, re-publish it"
                 )
-            return self.document.ack
+            return self.validator.validate_payload(record.payload)
         if self.validator is not None:
             return self.validator.validate(self.document)
         return self.local_type.validate(self.document)
@@ -160,15 +201,16 @@ class ResourcePeer(Peer):
         """Bytes of the peer's document (what centralized validation must ship)."""
         if self.document is None:
             return 0
-        if isinstance(self.document, StreamedDocument):
+        if isinstance(self.document, PublicationRecord):
             return self.document.payload_bytes
         return document_bytes(self.document)
 
     def describe(self) -> str:
-        if isinstance(self.document, StreamedDocument):
+        if isinstance(self.document, PublicationRecord):
+            how = "streamed" if self.document.streamed else "published"
             return (
                 f"peer {self.name} provides {self.function} "
-                f"(streamed, {self.document.payload_bytes} bytes)"
+                f"({how}, {self.document.payload_bytes} bytes)"
             )
         size = self.document.size if self.document is not None else 0
         return f"peer {self.name} provides {self.function} ({size} nodes)"

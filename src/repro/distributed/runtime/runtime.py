@@ -17,21 +17,27 @@
   re-publishes equal content as a fresh object -- the normal case after a
   round-trip through serialisation -- stays clean, which the per-object
   identity memo of :class:`~repro.engine.batch.CompiledSchema` cannot see.
-* **Wire-level ingest** -- :meth:`ValidationRuntime.publish` accepts a
-  publication as serialised XML and content-addresses the *bytes*
-  (:func:`~repro.engine.fingerprint.payload_fingerprint`) before any
-  parsing.  Hashing runs at native speed, so a byte-identical
-  re-publication costs one digest and nothing else; only changed payloads
-  are parsed (inside the shard task, off the coordinator) and revalidated.
+* **Wire-level ingest, bytes to verdict** -- :meth:`ValidationRuntime.publish`
+  accepts a publication as serialised XML and content-addresses the
+  *bytes* (:func:`~repro.engine.fingerprint.payload_fingerprint`) before
+  any parsing.  Hashing runs at native speed, so a byte-identical
+  re-publication costs one digest and nothing else.  A changed payload is
+  validated from its bytes inside the shard task, off the coordinator
+  (:meth:`BatchValidator.validate_payload
+  <repro.engine.batch.BatchValidator.validate_payload>`: one C-parser
+  pass and the backend's fold) -- no :class:`~repro.trees.document.Tree`
+  is built.  The peer then holds a content-addressed
+  :class:`~repro.distributed.peer.PublicationRecord` retaining the
+  payload bytes, so a typing change re-validates from them.
 * **Streamed ingest** -- :meth:`ValidationRuntime.publish_stream` /
-  :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*
-  and never materialise a tree at all: each chunk is hashed and pushed
-  through the peer's event-driven :mod:`~repro.streaming` validator in one
-  pass, so working memory is O(document depth) and the verdict settles at
-  ingest time (no validation round).  The peer then holds a
-  content-addressed :class:`~repro.distributed.peer.StreamedDocument`
-  record; re-publications dedupe against tree-path publications and vice
-  versa because both address the same payload bytes.
+  :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*:
+  each chunk is hashed and pushed through the peer's event-driven
+  :mod:`~repro.streaming` validator in one pass, so working memory is
+  O(document depth) and the verdict settles at ingest time (no validation
+  round).  The peer's :class:`~repro.distributed.peer.PublicationRecord`
+  keeps no bytes, so after a typing change a streamed publication must be
+  re-published.  Streamed and whole-frame publications dedupe against
+  each other because both address the same payload bytes.
 * **Cost/statistics accounting** -- a :class:`RuntimeReport` extends the
   serial :class:`~repro.distributed.network.ValidationReport` with how many
   peers actually revalidated, and :class:`RuntimeStats` accumulates the
@@ -49,7 +55,7 @@ from typing import Optional
 
 from repro.core.typing import TreeTyping
 from repro.distributed.network import DistributedDocument, ValidationReport
-from repro.distributed.peer import StreamedDocument
+from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime.scheduler import ShardScheduler
 from repro.distributed.runtime.sharding import ShardMap
 from repro.engine.batch import BatchValidator
@@ -63,7 +69,6 @@ from repro.engine.fingerprint import (
 from repro.errors import DesignError, InvalidXMLError
 from repro.streaming.events import XMLEventSource, iter_chunks
 from repro.streaming.machine import streaming_validator_for
-from repro.trees.xml_io import tree_from_xml
 
 #: Fingerprint recorded for a peer with no document (validation returns False).
 _NO_DOCUMENT = "<no-document>"
@@ -330,14 +335,10 @@ class StreamIngest:
                 max_depth, events = self._run.max_depth, self._run.events
         if malformed:
             # An unparseable publication is an invalid one; the peer keeps
-            # whatever it held before, like the tree-based wire path.
+            # whatever it held before, like the whole-frame wire path.
             validator = peer.validator
         else:
-            peer.update_document(
-                StreamedDocument(
-                    fingerprint, ack, validator, self._payload_bytes, max_depth, events
-                )
-            )
+            peer.update_document(PublicationRecord(fingerprint, ack, validator, self._payload_bytes))
         # A streamed publication supersedes any queued whole-payload one.
         runtime._pending_payloads.pop(function, None)
         runtime._current_fp[function] = fingerprint
@@ -436,7 +437,7 @@ class ValidationRuntime:
         self._validated_fp: dict[str, str] = {}
         #: function -> cached acknowledgement of the last validation.
         self._acks: dict[str, bool] = {}
-        #: function -> (wire digest, raw payload) awaiting parse+validate.
+        #: function -> (wire digest, raw payload) awaiting validation.
         self._pending_payloads: dict[str, tuple[str, str | bytes]] = {}
         #: function -> trace id of the publication that queued the pending
         #: payload (drained alongside ``_pending_payloads`` by the round).
@@ -528,11 +529,12 @@ class ValidationRuntime:
         digest matches the bytes the peer's cached acknowledgement was
         computed for, the publication is dropped on the spot -- one native
         hash, no parse, no validation, no dispatch.  Otherwise the payload
-        is queued; the next :meth:`validate_locally` round parses it inside
-        the peer's shard task (so parsing parallelises with everything
-        else) and revalidates.  A payload that fails to parse counts as an
-        invalid publication (the peer acknowledges ``False``; its previous
-        document is kept).
+        is queued; the next :meth:`validate_locally` round validates it
+        from its bytes inside the peer's shard task (no ``Tree`` is
+        built) and the peer holds a
+        :class:`~repro.distributed.peer.PublicationRecord` retaining them.
+        A payload that fails to parse counts as an invalid publication
+        (the peer acknowledges ``False``; its previous document is kept).
 
         Returns ``True`` when the publication was clean (dropped unparsed).
         """
@@ -583,8 +585,8 @@ class ValidationRuntime:
         materialised, working memory stays O(document depth), and the
         verdict is available immediately (no validation round needed).
         The peer afterwards holds a content-addressed
-        :class:`~repro.distributed.peer.StreamedDocument` record instead
-        of a tree; re-validating it after a typing change requires
+        :class:`~repro.distributed.peer.PublicationRecord` without payload
+        bytes; re-validating it after a typing change requires
         re-publishing (the bytes were deliberately not retained).
         """
         return StreamIngest(self, function)
@@ -718,11 +720,11 @@ class ValidationRuntime:
                 peer = self.document.resources[function]
                 pending = payloads.get(function)
                 if pending is not None:
-                    # Parse the queued publication here, off the coordinator.
+                    # Validate the queued publication from its bytes here,
+                    # off the coordinator; the peer holds its record.
                     fingerprint, payload = pending
-                    fingerprinted = True
                     try:
-                        peer.update_document(tree_from_xml(payload))
+                        ack = peer.publish_payload(fingerprint, payload)
                     except InvalidXMLError:
                         # Malformed XML: an invalid publication.  The peer's
                         # previous document is kept; re-publishing the same
@@ -731,18 +733,18 @@ class ValidationRuntime:
                             _PeerOutcome(function, fingerprint, False, True, True, malformed=True)
                         )
                         continue
-                else:
-                    fingerprint = self._current_fp[function]
-                    fingerprinted = (
-                        fingerprint is None
-                        or peer.document is not self._fp_document.get(function)
+                    outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))
+                    continue
+                fingerprint = self._current_fp[function]
+                fingerprinted = (
+                    fingerprint is None or peer.document is not self._fp_document.get(function)
+                )
+                if fingerprinted:
+                    fingerprint = (
+                        "tree:" + tree_fingerprint(peer.document)
+                        if peer.document is not None
+                        else _NO_DOCUMENT
                     )
-                    if fingerprinted:
-                        fingerprint = (
-                            "tree:" + tree_fingerprint(peer.document)
-                            if peer.document is not None
-                            else _NO_DOCUMENT
-                        )
                 stale = (
                     force
                     or function not in self._acks

@@ -13,14 +13,18 @@ successor arrays, with no epsilon closures and no set objects.
 
 :class:`BatchValidator` is the user-facing wrapper: it validates one
 document, a batch of documents in a single pass, or produces a
-:class:`BatchReport` for monitoring.
+:class:`BatchReport` for monitoring.  Its bytes entry
+(:meth:`BatchValidator.validate_payload`) takes serialised XML straight
+to a verdict: one C-parser pass, then the same bottom-up fold over the
+parser's elements, with no :class:`Tree` built and nothing memoized.
 """
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.automata.kernel.compact import CompactNFA, iter_bits
 from repro.trees.automata import UnrankedTreeAutomaton
@@ -183,7 +187,21 @@ class CompiledSchema:
             if not mask:
                 return 0
             child_masks.append(mask)
-        rules = self._rules_by_label.get(tree.label)
+        return self._label_mask(tree.label, child_masks)
+
+    def _element_mask(self, element: ET.Element) -> int:
+        """:meth:`_possible_mask` over a parsed element (tags are labels)."""
+        child_masks = []
+        for child in element:
+            mask = self._element_mask(child)
+            if not mask:
+                return 0
+            child_masks.append(mask)
+        return self._label_mask(element.tag, child_masks)
+
+    def _label_mask(self, label: str, child_masks: list[int]) -> int:
+        """The states assignable to a ``label`` node with these children."""
+        rules = self._rules_by_label.get(label)
         if not rules:
             return 0
         result = 0
@@ -254,6 +272,34 @@ class CompiledSchema:
             return verdict
         return bool(self.possible_states(tree) & self.finals)
 
+    def accepts_payload(self, payload: Union[bytes, str]) -> bool:
+        """Membership of one serialised document, from its bytes.
+
+        One pass of the C parser, then the backend's fold over the parsed
+        elements: the interpreted :meth:`_horizontal_accepts` kernel on
+        ``python``, the generated ``_mask_of`` on ``codegen``/``numpy``.
+        Nothing is memoized -- a publication is validated once, so an
+        identity memo would only pin it.  A payload the parser rejects is
+        replayed through the interpreted streaming machine, which raises
+        the same typed :class:`~repro.errors.InvalidXMLError` the
+        streaming surface does; a document too deep for the recursive
+        fold gets its verdict from that iterative machine too.
+        """
+        parser = ET.XMLParser()
+        try:
+            parser.feed(payload)
+            root = parser.close()
+            if self._codegen is not None:
+                mask = self._codegen._mask_of(root)
+            else:
+                mask = self._element_mask(root)
+        except (ET.ParseError, RecursionError):
+            from repro.streaming.machine import streaming_validator_for
+
+            machine = streaming_validator_for(self, self.engine, backend="python")
+            return machine.validate_payload(payload)
+        return bool(mask & self._finals_mask)
+
 
 @dataclass(frozen=True)
 class BatchReport:
@@ -298,6 +344,14 @@ class BatchValidator:
     def validate(self, document: Tree) -> bool:
         """Membership of one document in the compiled schema's language."""
         return self.compiled.accepts(document)
+
+    def validate_payload(self, payload: Union[bytes, str]) -> bool:
+        """Membership of one serialised document, bytes to verdict.
+
+        Raises :class:`~repro.errors.InvalidXMLError` on malformed or
+        truncated input; see :meth:`CompiledSchema.accepts_payload`.
+        """
+        return self.compiled.accepts_payload(payload)
 
     def validate_many(self, documents: Iterable[Tree]) -> list[bool]:
         """Validate a batch in one pass over the compiled automaton.

@@ -22,10 +22,20 @@ The whole-payload strategy: parse with a bare
 structural work, no event-queue recording), then fold the element tree
 bottom-up -- a node's possible-state mask is a memo probe keyed by its
 children's masks, with the leaf case (a per-label constant) inlined into
-the parent so most nodes never even recurse.  This trades the
-interpreted streaming path's O(depth) memory bound for O(document) (the
-element tree is materialized); the ``python`` backend remains the
-bounded-memory path.
+the parent so most nodes never even recurse.  The generated ``_mask_of``
+is what :meth:`CompiledSchema.accepts_payload
+<repro.engine.batch.CompiledSchema.accepts_payload>` (the bytes entry
+wire publications take) folds with on these backends.
+
+Which path is bounded-memory: every whole-payload entry -- this
+module's, and the bytes entry on *every* backend, ``python`` included --
+materializes the parser's element tree, so it is O(document) (but builds
+no :class:`~repro.trees.document.Tree`).  O(depth) memory belongs to the
+interpreted streaming machine alone: incremental runs
+(:meth:`StreamingValidator.run
+<repro.streaming.machine.StreamingValidator.run>`, hence the runtime's
+streamed publications) and the ``python`` backend's
+``validate_payload``/``validate_chunks``.
 
 Verdicts are bit-identical to the interpreted oracle.  Malformed or
 truncated input is detected by the parser (``feed``/``close`` raise for
@@ -244,24 +254,8 @@ class CodegenValidator:
             return self._fold(label, key)
 
     # ------------------------------------------------------------------ #
-    # whole-payload (streaming surface) path
+    # chunked (streaming surface) path
     # ------------------------------------------------------------------ #
-
-    def try_validate_payload(self, payload):
-        """Verdict for one whole payload, or ``None`` on any parse anomaly.
-
-        ``None`` means: replay through the interpreted path, either for
-        the exact malformed/truncated classification or because the
-        document is too deep for the recursive fold (the payload is
-        untouched).
-        """
-        parser = ET.XMLParser()
-        try:
-            parser.feed(payload)
-            root = parser.close()
-        except ET.ParseError:
-            return None
-        return self._verdict_of(root)
 
     def try_validate_chunks(self, chunks, fed: list):
         """Verdict for chunked input, or ``None`` on any parse anomaly.

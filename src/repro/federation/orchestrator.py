@@ -271,7 +271,13 @@ class Federation:
         return f"{root}({' '.join(pod.functions)})" if pod.functions else root
 
     def _register_fragment(self, pod: _Pod) -> dict:
-        return pod.client.register_design(
+        """(Re-)register a pod's fragment, then replay its latest payloads.
+
+        Registration installs the *seed* documents; re-publishing each
+        owned function's latest wire payload brings the pod's
+        content-addressed state back to the federation's current one.
+        """
+        result = pod.client.register_design(
             self.design_id,
             self._fragment_term(pod),
             {function: self._types[function] for function in pod.functions},
@@ -283,6 +289,18 @@ class Federation:
             replace=True,
             typing_version=self.typing_version,
         )
+        for function in pod.functions:
+            payload = self._last_payload.get(function)
+            if payload is None:
+                continue
+            try:
+                pod.client.publish(self.design_id, function, payload)
+            except ServiceError as error:
+                # A malformed latest payload is an invalid publication;
+                # replaying it records exactly that.
+                if error.code != "invalid-xml":
+                    raise
+        return result
 
     # ------------------------------------------------------------------ #
     # publication routing
@@ -479,8 +497,10 @@ class Federation:
 
         Bumps the typing version, announces it to the directory (which
         marks every collected ack stale), then re-registers each pod's
-        fragment under the new version -- the wire twin of
-        :meth:`ValidationRuntime.propagate_typing`.
+        fragment under the new version and replays its functions' latest
+        payloads -- the wire twin of
+        :meth:`ValidationRuntime.propagate_typing`, which keeps the
+        current documents too.
         """
         if typing is not None:
             types = dict(typing.items()) if hasattr(typing, "items") else dict(typing)
@@ -534,12 +554,7 @@ class Federation:
         if pod.alive:
             raise DesignError(f"pod {pod.pod_id!r} is still alive")
         self._start_pod(pod)
-        result = self._register_fragment(pod)
-        for function in pod.functions:
-            payload = self._last_payload.get(function)
-            if payload is not None:
-                pod.client.publish(self.design_id, function, payload)
-        return result
+        return self._register_fragment(pod)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -1292,14 +1292,10 @@ class ValidationServer:
 
         def check() -> dict:
             try:
-                document = tree_from_xml(payload)
+                valid = peer.validator.validate_payload(payload)
             except InvalidXMLError as error:
                 raise OpError("invalid-xml", f"payload for {function!r}: {error}") from None
-            return {
-                "design": entry.design_id,
-                "function": function,
-                "valid": peer.validator.validate(document),
-            }
+            return {"design": entry.design_id, "function": function, "valid": valid}
 
         # Read-only on a compiled validator: no runtime lock needed.
         return await self.run_in_executor(check)

@@ -163,12 +163,16 @@ class StreamingValidator:
         return run.verdict()
 
     def validate_payload(self, payload: Union[bytes, str], chunk_bytes: int = 65536) -> bool:
-        """Validate one whole payload (sliced into bounded chunks internally)."""
-        codegen = self._codegen
-        if codegen is not None:
-            verdict = codegen.try_validate_payload(payload)
-            if verdict is not None:
-                return verdict
+        """Validate one whole payload (sliced into bounded chunks internally).
+
+        On the ``codegen``/``numpy`` backends this is the compiled schema's
+        bytes entry (:meth:`CompiledSchema.accepts_payload
+        <repro.engine.batch.CompiledSchema.accepts_payload>`: one parse,
+        the generated fold, this interpreted machine as the fallback); the
+        ``python`` backend keeps the O(depth) interpreted machine.
+        """
+        if self._codegen is not None:
+            return self.compiled.accepts_payload(payload)
         return self._interpreted_chunks(iter_chunks(payload, chunk_bytes))
 
 

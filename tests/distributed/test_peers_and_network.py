@@ -6,7 +6,12 @@ import pytest
 
 from repro.errors import DesignError
 from repro.core.existence import find_perfect_typing
-from repro.distributed.network import CONTROL_MESSAGE_BYTES, DistributedDocument, Network
+from repro.distributed.network import (
+    CONTROL_MESSAGE_BYTES,
+    LOG_CAPACITY,
+    DistributedDocument,
+    Network,
+)
 from repro.distributed.peer import Message, Peer, ResourcePeer, document_bytes
 from repro.trees.term import parse_term
 from repro.workloads import eurostat
@@ -54,6 +59,16 @@ class TestPeers:
         assert isinstance(network.log[0], Message)
         network.reset()
         assert network.message_count == 0
+
+    def test_log_keeps_the_most_recent_messages_while_the_ledger_counts_all(self):
+        network = Network()
+        total = LOG_CAPACITY + 10
+        for index in range(total):
+            network.send("x", "y", "call", 1, str(index))
+        assert len(network.log) == LOG_CAPACITY
+        assert network.log[0].description == "10"
+        assert network.log[-1].description == str(total - 1)
+        assert network.snapshot() == (total, total)
 
     def test_plain_peer_describe(self):
         assert Peer("coordinator").describe() == "peer coordinator"

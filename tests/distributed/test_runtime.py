@@ -16,13 +16,14 @@ import pytest
 
 from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import CONTROL_MESSAGE_BYTES, DistributedDocument
+from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime import ShardMap, ShardScheduler, ValidationRuntime, WorkloadDriver
 from repro.engine.fingerprint import payload_fingerprint, tree_fingerprint
 from repro.errors import DesignError
 from repro.schemas.dtd import DTD
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
-from repro.trees.xml_io import tree_to_xml
+from repro.trees.xml_io import tree_from_xml, tree_to_xml
 from repro.workloads.synthetic import (
     corrupt_document,
     distributed_workload,
@@ -365,6 +366,48 @@ class TestWirePublish:
         with ValidationRuntime(document) as runtime:
             with pytest.raises(DesignError):
                 runtime.publish("f99", "<x/>")
+
+    def test_typing_change_revalidates_from_the_retained_bytes(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=4) as runtime:
+            runtime.propagate_typing(workload.typing)
+            payload = tree_to_xml(workload.initial_documents["f1"])
+            runtime.publish("f1", payload)
+            assert runtime.validate_locally().valid
+            peer = document.resources["f1"]
+            assert isinstance(peer.document, PublicationRecord)
+            assert peer.document.payload == payload.encode("utf-8")
+            strict = TreeTyping(
+                {f: DTD(default_root_name(f), {default_root_name(f): "never"}) for f in workload.typing}
+            )
+            runtime.propagate_typing(strict)
+            report = runtime.validate_locally()
+            fresh = strict["f1"].validate(tree_from_xml(payload))
+            assert fresh is False
+            assert runtime.peer_acks()["f1"] is fresh
+            assert report.peers_validated == PEERS and not report.valid
+            assert peer.validate_locally() is fresh
+            assert document.validate_locally().valid == report.valid
+
+    def test_wire_publications_still_answer_and_materialise(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=4) as runtime:
+            runtime.propagate_typing(workload.typing)
+            for function, tree in workload.initial_documents.items():
+                runtime.publish(function, tree_to_xml(tree))
+            assert runtime.validate_locally().valid
+            peer = document.resources["f2"]
+            assert peer.answer() == workload.initial_documents["f2"]
+            assert "published" in peer.describe()
+            assert document.validate_centralized(workload.global_type).valid
+            bad = corrupt_document(workload.initial_documents["f2"])
+            runtime.publish("f2", tree_to_xml(bad))
+            assert not runtime.validate_locally().valid
+            assert peer.answer() == bad
+            assert peer.document_size() == len(tree_to_xml(bad).encode("utf-8"))
+            assert not document.validate_centralized(workload.global_type).valid
 
 
 class TestFingerprints:

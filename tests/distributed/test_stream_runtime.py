@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed.network import DistributedDocument
-from repro.distributed.peer import StreamedDocument
+from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime import ValidationRuntime, WorkloadDriver
 from repro.errors import DesignError
 from repro.trees.xml_io import tree_to_xml
@@ -69,7 +69,8 @@ class TestPublishStream:
         payload = payload_of(workload, function)
         report = runtime.publish_stream(function, payload)
         peer = runtime.document.resources[function]
-        assert isinstance(peer.document, StreamedDocument)
+        assert isinstance(peer.document, PublicationRecord)
+        assert peer.document.streamed and peer.document.payload is None
         assert peer.document.ack is True
         assert peer.document.payload_bytes == len(payload)
         assert peer.document_size() == len(payload)

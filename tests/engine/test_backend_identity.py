@@ -63,6 +63,14 @@ def oracle_outcome(schema, payload):
     return BatchValidator(schema).validate(document)
 
 
+def batch_payload_outcome(schema, payload, backend):
+    """The bytes entry's outcome: verdict, or the typed error text."""
+    try:
+        return BatchValidator(schema, backend=backend).validate_payload(payload)
+    except InvalidXMLError as error:
+        return f"invalid-xml: {error}"
+
+
 def backend_stream_outcome(schema, payload, backend, chunk_bytes=None):
     machine = streaming_validator_for(schema, backend=backend)
     assert machine.backend == backend
@@ -93,6 +101,7 @@ class TestVerdictIdentity:
         for tree, verdict in zip(trees, expected):
             payload = tree_to_xml(tree).encode("utf-8")
             assert backend_stream_outcome(schema, payload, backend) is verdict
+            assert batch.validate_payload(payload) is verdict
         assert set(expected) == {True, False}
 
     @pytest.mark.parametrize("backend", GENERATED_BACKENDS)
@@ -137,35 +146,36 @@ class TestRejectedAtIdentity:
 
 
 class TestClassificationIdentity:
-    @pytest.mark.parametrize("backend", GENERATED_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("payload", differential.TestMalformedAndTruncated.PAYLOADS)
     def test_malformed_payloads_classify_identically(self, payload, backend):
         schema = SCHEMAS["DTD"]
         expected = backend_stream_outcome(schema, payload, "python")
         assert isinstance(expected, str) and expected.startswith("invalid-xml")
         assert backend_stream_outcome(schema, payload, backend) == expected
+        assert batch_payload_outcome(schema, payload, backend) == expected
 
-    @pytest.mark.parametrize("backend", GENERATED_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_truncations_classify_identically_at_any_cut(self, backend):
         schema = fuzz.SCHEMA
         workload = distributed_workload(peers=1, documents=1, seed=5, records=4, fields=3)
         payload = tree_to_xml(next(iter(workload.initial_documents.values()))).encode()
         for cut in range(1, len(payload), 7):
             truncated = payload[:cut]
-            assert backend_stream_outcome(
-                schema, truncated, backend, chunk_bytes=5
-            ) == backend_stream_outcome(schema, truncated, "python", chunk_bytes=5)
+            expected = backend_stream_outcome(schema, truncated, "python", chunk_bytes=5)
+            assert backend_stream_outcome(schema, truncated, backend, chunk_bytes=5) == expected
+            assert batch_payload_outcome(schema, truncated, backend) == expected
 
-    @pytest.mark.parametrize("backend", GENERATED_BACKENDS)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_deep_document_falls_back_to_the_iterative_machine(self, backend):
         """Documents beyond the recursion limit still get oracle answers."""
         schema = fuzz.SCHEMA
         deep_valid = b"<s_f1>" + b"<record>" * 0 + b"</s_f1>"
         nested = b"<s_f1>" + b"<record>" * 2000 + b"</record>" * 2000 + b"</s_f1>"
         for payload in (deep_valid, nested):
-            assert backend_stream_outcome(schema, payload, backend) == backend_stream_outcome(
-                schema, payload, "python"
-            )
+            expected = backend_stream_outcome(schema, payload, "python")
+            assert backend_stream_outcome(schema, payload, backend) == expected
+            assert batch_payload_outcome(schema, payload, backend) == expected
 
 
 class TestChunkFuzzIdentity:

@@ -20,7 +20,7 @@ from repro.service.client import ServiceClient
 from repro.service.faults import FaultPlan, FaultyTransport
 from repro.service.server import ServiceHandle
 from repro.trees.xml_io import tree_to_xml
-from repro.workloads.synthetic import distributed_workload
+from repro.workloads.synthetic import corrupt_document, distributed_workload
 
 
 def build_workload(seed: int, invalid_rate: float):
@@ -134,6 +134,31 @@ def test_process_federation_pod_killed_and_respawned_mid_stream():
     assert verdicts == expected_verdicts
     assert acks == expected_acks
     assert digest == expected_digest
+
+
+def test_typing_change_keeps_published_documents():
+    """``propagate_typing`` re-validates what was published, not the seeds."""
+    workload = build_workload(seed=3, invalid_rate=0.0)
+    bad = tree_to_xml(corrupt_document(workload.initial_documents["f1"]))
+    document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+    with ValidationRuntime(document, max_workers=2) as runtime:
+        runtime.propagate_typing(workload.typing)
+        runtime.publish("f1", bad)
+        runtime.validate_locally()
+        runtime.propagate_typing(workload.typing)
+        expected = runtime.validate_locally().valid
+        expected_digest = runtime.state_digest()
+    assert expected is False
+    with Federation(
+        workload.kernel, workload.typing, workload.initial_documents, pods=2, spawn="thread"
+    ) as federation:
+        federation.publish("f1", bad)
+        federation.propagate_typing(workload.typing)
+        verdict = federation.global_verdict()
+        assert verdict["complete"], verdict
+        assert verdict["valid"] is expected
+        assert federation.state_digest() == expected_digest
+        assert federation.close()["clean"]
 
 
 def _register_over_wire(client, workload, design_id: str, typing_version: int = 1):

@@ -222,4 +222,4 @@ class TestNetworkUnification:
         document.validate_locally(workload.typing)
         document.network.reset()
         assert document.network.snapshot() == LedgerSnapshot(0, 0)
-        assert document.network.log == []
+        assert not document.network.log

@@ -177,6 +177,19 @@ class TestPublish:
         assert result["clean"] is True
         assert result["peer_valid"] is False and result["valid"] is False
 
+    def test_deeply_nested_publish_is_answered_and_later_publishes_still_settle(
+        self, client, workload
+    ):
+        # Far deeper than the interpreter's recursion limit: one such
+        # publication must neither fail its round nor poison later ones.
+        deep = "<root_f1>" + "<r>" * 5000 + "</r>" * 5000 + "</root_f1>"
+        result = client.publish("d", "f1", deep)
+        assert result["peer_valid"] is False and result["valid"] is False
+        other = client.publish("d", "f2", payload_of(workload, "f2"))
+        assert other["peer_valid"] is True and other["valid"] is False
+        assert client.validate("d", "f1", deep)["valid"] is False
+        assert client.publish("d", "f1", payload_of(workload, "f1"))["valid"] is True
+
     def test_empty_payload_is_typed(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.publish("d", "f1", "")
