@@ -321,13 +321,12 @@ def _scenario_observability_overhead(peers: int, documents: int):
     """The cost of full observability on the closed-loop throughput headline.
 
     One server carrying the full observability stack -- labeled metric
-    families, the ``/metrics`` exporter, an enabled trace ring, the
-    structured log ring, the sampling profiler -- driven with the same
-    workload twice per measurement: once fully observed (every
-    publication mints and propagates a fresh trace id, the log ring
-    records every op, the profiler samples at 50 hz), once dormant (no
-    ids, logging disabled, profiler stopped, so every record
-    short-circuits and the exporter sits idle).  Using *one* server
+    families, the ``/metrics`` exporter, the event ring, the sampling
+    profiler -- driven with the same workload twice per measurement:
+    once fully observed (every publication mints and propagates a fresh
+    trace id, the event ring records every op, the profiler samples at
+    50 hz), once dormant (no ids, the ring disabled, profiler stopped, so
+    every emit short-circuits and the exporter sits idle).  Using *one* server
     instance is the
     point: two separately-booted servers differ by up to ~10% from
     thread placement and allocator state alone, which drowns the few
@@ -368,7 +367,7 @@ def _scenario_observability_overhead(peers: int, documents: int):
 
     def drive(observe):
         # The whole stack toggles together: trace ids on the wire, the
-        # structured log ring, and the 50 hz sampling profiler are one
+        # event ring, and the 50 hz sampling profiler are one
         # "observed" posture (the CI gate covers their combined cost).
         server = handle.server
         if observe:

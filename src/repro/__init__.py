@@ -36,12 +36,12 @@ _API_EXPORTS = (
     "edtd",
     "get_default_engine",
     "kernel",
-    "run_distributed_workload",
-    "serve_design",
+    "MODES",
+    "new_trace_id",
     "top_down_design",
     "tree",
+    "typing_of",
     "use_engine",
-    "validate_stream",
     "ServiceHandle",
     "StreamingValidator",
     "ValidationRuntime",

@@ -13,7 +13,6 @@ True
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -42,8 +41,7 @@ from repro.engine import (
     use_engine,
 )
 from repro.federation import Federation
-from repro.observability.logs import LogRecorder
-from repro.observability.tracing import TraceRecorder, new_trace_id
+from repro.observability.logs import LogRecorder, new_trace_id
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.streaming import StreamingValidator, streaming_validator_for
@@ -67,9 +65,6 @@ __all__ = [
     "ExecutionConfig",
     "MODES",
     "analyze_design",
-    "run_distributed_workload",
-    "serve_design",
-    "validate_stream",
     "BatchValidator",
     "CompilationEngine",
     "Federation",
@@ -289,11 +284,9 @@ def _payload_bytes(payload) -> bytes:
 class DesignSession:
     """One design, published to and validated through a chosen substrate.
 
-    The single entry point that used to be spread over ``serve_design``,
-    ``run_distributed_workload`` and ``validate_stream``: build a session
-    from the design's ingredients (kernel, typing, seed documents) and an
-    :class:`ExecutionConfig`, then drive it with the same four verbs
-    regardless of where validation actually runs:
+    Build a session from the design's ingredients (kernel, typing, seed
+    documents) and an :class:`ExecutionConfig`, then drive it with the
+    same four verbs regardless of where validation actually runs:
 
     * :meth:`publish` -- one wire publication (XML text/bytes), answering
       the design's global verdict after it settles;
@@ -336,7 +329,6 @@ class DesignSession:
             function: tree(document) for function, document in documents.items()
         }
         self._closed = False
-        self._tracer: Optional[TraceRecorder] = None
         self._logger: Optional[LogRecorder] = None
         self._document: Optional[DistributedDocument] = None
         self._runtime: Optional[ValidationRuntime] = None
@@ -347,14 +339,12 @@ class DesignSession:
             self._document = DistributedDocument(self.kernel, dict(self.documents))
             self._document.propagate_typing(self.typing)
         elif config.mode == "runtime":
-            self._tracer = TraceRecorder(component="runtime")
             self._logger = LogRecorder(component="runtime")
             self._runtime = ValidationRuntime(
                 DistributedDocument(self.kernel, dict(self.documents)),
                 max_workers=config.workers,
                 shards=config.shards,
                 validation_backend=config.backend,
-                tracer=self._tracer,
                 logger=self._logger,
             )
             self._runtime.propagate_typing(self.typing)
@@ -425,8 +415,8 @@ class DesignSession:
         """Publish one document and answer the global verdict after it settles.
 
         ``trace_id`` (mint one with :func:`repro.new_trace_id`) stamps the
-        publication's lifecycle events into the substrate's trace ring;
-        read them back with :meth:`trace`.
+        publication's lifecycle events with it; read them back with
+        :meth:`trace`.
         """
         self._ensure_open()
         if self._document is not None:
@@ -485,20 +475,8 @@ class DesignSession:
         return result
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None) -> list:
-        """The substrate's recorded trace events (optionally one trace's).
-
-        Serial mode records nothing; runtime mode reads the in-process
-        ring; service mode pulls the server's ring over the ``trace`` wire
-        op; federation mode merges every member's ring by timestamp.
-        """
-        self._ensure_open()
-        if self._tracer is not None:
-            return self._tracer.export(trace_id, limit)
-        if self._client is not None:
-            return self._client.trace(trace_id, limit=limit)["events"]
-        if self._federation is not None:
-            return self._federation.trace(trace_id, limit=limit)
-        return []
+        """The substrate's events that carry a trace id (optionally one id's)."""
+        return self._events("trace", trace_id=trace_id, limit=limit)
 
     def logs(
         self,
@@ -506,19 +484,23 @@ class DesignSession:
         limit: Optional[int] = None,
         level: Optional[str] = None,
     ) -> list:
-        """The substrate's structured log events (the prose twin of trace).
+        """The substrate's events at or above ``level`` (optionally one trace's)."""
+        return self._events("logs", trace_id=trace_id, limit=limit, level=level)
 
-        Serial mode records nothing; runtime mode reads the in-process log
-        ring; service mode pulls the server's ring over the ``logs`` wire
+    def _events(self, op: str, **filters) -> list:
+        """One export for :meth:`trace` and :meth:`logs`.
+
+        Serial mode records nothing; runtime mode reads the in-process
+        ring; service mode pulls the server's ring over the ``op`` wire
         op; federation mode merges every member's ring by timestamp.
         """
         self._ensure_open()
         if self._logger is not None:
-            return self._logger.export(trace_id, limit, level)
+            return self._logger.export(traced=op == "trace", **filters)
         if self._client is not None:
-            return self._client.logs(trace_id, limit=limit, level=level)["events"]
+            return getattr(self._client, op)(**filters)["events"]
         if self._federation is not None:
-            return self._federation.logs(trace_id, limit=limit, level=level)
+            return getattr(self._federation, op)(**filters)
         return []
 
     def validate(self, force: bool = False) -> dict:
@@ -583,7 +565,7 @@ class DesignSession:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # the bodies of the deprecated module-level entry points
+    # design-free entry points
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -598,10 +580,13 @@ class DesignSession:
     ) -> ServiceHandle:
         """Boot a :class:`~repro.service.server.ValidationServer` for a design.
 
-        What :func:`serve_design` used to do: register the design (typing
-        propagated, seed documents validated), start the server on its own
-        thread and hand back the live
-        :class:`~repro.service.server.ServiceHandle`.
+        Registers the design (typing propagated, seed documents
+        validated), starts the server on its own thread and hands back the
+        live :class:`~repro.service.server.ServiceHandle`, which closes the
+        server gracefully on ``close()``.  ``server_options`` go to the
+        server (``max_frame_bytes``, ``max_batch``, ``runtime_workers``,
+        ``validation_backend``, the overload tier's ``max_queue_depth``,
+        ``rate_limit``, ``stream_ttl``, ...).
         """
         if not isinstance(typing, TreeTyping):
             typing = TreeTyping(typing)
@@ -627,12 +612,15 @@ class DesignSession:
     ) -> WorkloadReport:
         """Replay a synthetic workload and compare execution strategies.
 
-        What :func:`run_distributed_workload` used to do: build a
-        :func:`~repro.workloads.synthetic.distributed_workload` of
-        ``documents`` publications over ``peers`` peers and replay it
+        Builds a :func:`~repro.workloads.synthetic.distributed_workload`
+        of ``documents`` publications over ``peers`` peers and replays it
         through the requested ``strategies`` (any of ``"serial"``,
         ``"runtime"``, ``"centralized"``) with a
         :class:`~repro.distributed.runtime.WorkloadDriver`.
+        ``validation_backend`` selects how the runtime strategies validate
+        and ``backend`` names the scheduler; the ``serial`` strategy always
+        uses the interpreted kernel, so the report's ``verdicts_agree``
+        doubles as a cross-backend differential.
 
         >>> report = DesignSession.run_workload(peers=4, documents=12, workers=2)
         >>> report.verdicts_agree
@@ -665,11 +653,13 @@ class DesignSession:
     ) -> bool:
         """Validate serialised XML against a schema without building a tree.
 
-        What :func:`validate_stream` used to do: the event-driven twin of
-        ``BatchValidator(schema).validate(tree)``; ``payload`` may be a
-        whole document (``str``/``bytes``) or any iterable of chunks, and
-        the verdict matches the tree-based path for every schema kind
-        while working memory stays O(document depth).
+        The event-driven twin of ``BatchValidator(schema).validate(tree)``:
+        ``payload`` may be a whole document (``str``/``bytes``) or any
+        iterable of chunks, and the verdict matches the tree-based path
+        for every schema kind while working memory stays O(document
+        depth).  Malformed input raises
+        :class:`~repro.errors.InvalidXMLError`.  The non-``python``
+        backends trade the O(depth) memory bound for speed.
 
         >>> from repro import dtd
         >>> DesignSession.stream_validate(dtd("r", {"r": "a*"}), "<r><a/></r>")
@@ -679,139 +669,6 @@ class DesignSession:
         if isinstance(payload, (str, bytes)):
             return validator.validate_payload(payload, chunk_bytes)
         return validator.validate_chunks(payload)
-
-
-def run_distributed_workload(
-    peers: int = 8,
-    documents: int = 64,
-    workers: int = 4,
-    shards: Optional[int] = None,
-    seed: int = 0,
-    invalid_rate: float = 0.05,
-    records: int = 12,
-    fields: int = 6,
-    strategies: tuple[str, ...] = ("serial", "runtime"),
-    backend: str = "thread",
-    validation_backend: Optional[str] = None,
-) -> WorkloadReport:
-    """Replay a synthetic distributed-validation workload and compare strategies.
-
-    Builds a :func:`~repro.workloads.synthetic.distributed_workload` of
-    ``documents`` publications over ``peers`` peers and replays it through
-    the requested ``strategies`` (any of ``"serial"``, ``"runtime"``,
-    ``"centralized"``) with a :class:`~repro.distributed.runtime.WorkloadDriver`.
-    The report carries wall-clock, throughput, messages and bytes shipped
-    per strategy -- what the ``repro-design distributed`` CLI prints.
-    ``validation_backend`` selects how the runtime strategies validate
-    (``python`` / ``codegen`` / ``numpy``; see
-    :mod:`repro.engine.backends`), while ``backend`` names the scheduler;
-    the ``serial`` strategy always uses the interpreted kernel, so the
-    report's ``verdicts_agree`` doubles as a cross-backend differential.
-
-    .. deprecated::
-        Use :meth:`DesignSession.run_workload` (same signature, same
-        report); this wrapper only adds a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "run_distributed_workload() is deprecated; use repro.DesignSession.run_workload()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.run_workload(
-        peers=peers,
-        documents=documents,
-        workers=workers,
-        shards=shards,
-        seed=seed,
-        invalid_rate=invalid_rate,
-        records=records,
-        fields=fields,
-        strategies=strategies,
-        backend=backend,
-        validation_backend=validation_backend,
-    )
-
-
-def validate_stream(
-    schema: SchemaType,
-    payload,
-    engine: Optional[CompilationEngine] = None,
-    chunk_bytes: int = 65536,
-    backend: Optional[str] = None,
-) -> bool:
-    """Validate serialised XML against a schema without materialising a tree.
-
-    The event-driven twin of ``BatchValidator(schema).validate(tree)``:
-    ``payload`` may be a whole document (``str``/``bytes``) or any iterable
-    of chunks, and the verdict is identical to the tree-based path for
-    every schema kind (DTD / SDTD / EDTD) while working memory stays
-    O(document depth) -- deep or wide documents never build per-node
-    structure.  Malformed input raises
-    :class:`~repro.errors.InvalidXMLError`.
-
-    ``backend`` selects the validation backend (``python`` / ``codegen``
-    / ``numpy``; see :mod:`repro.engine.backends`).  Verdicts and error
-    classification are identical across backends; note the non-``python``
-    backends trade the O(depth) memory bound for speed (the parser's
-    element tree is materialised per document).
-
-    .. deprecated::
-        Use :meth:`DesignSession.stream_validate` (same signature, same
-        verdict); this wrapper only adds a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "validate_stream() is deprecated; use repro.DesignSession.stream_validate()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.stream_validate(
-        schema, payload, engine=engine, chunk_bytes=chunk_bytes, backend=backend
-    )
-
-
-def serve_design(
-    kernel_document: Union[KernelTree, str, Tree],
-    typing: Union[TreeTyping, Mapping[str, SchemaType]],
-    documents: Mapping[str, Tree],
-    design_id: str = "default",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **server_options,
-) -> ServiceHandle:
-    """Serve a design over TCP: validation-as-a-service on a live socket.
-
-    Builds a :class:`~repro.service.server.ValidationServer`, registers the
-    design (typing propagated, seed documents validated) and starts the
-    server on its own thread.  The returned
-    :class:`~repro.service.server.ServiceHandle` exposes the bound
-    ``host``/``port`` and shuts the service down gracefully on ``close()``
-    (or when used as a context manager).  Additional ``server_options``
-    are passed to the server (``max_frame_bytes``, ``max_batch``,
-    ``batch_window``, ``runtime_workers``, ``runtime_shards``,
-    ``validation_backend``, plus the overload tier: ``max_queue_depth``,
-    ``rate_limit``, ``rate_burst``, ``stream_ttl``,
-    ``stream_inline_threshold``, ``max_streams_per_shard``).
-
-    .. deprecated::
-        Use :meth:`DesignSession.serve` (same signature, same handle) or a
-        ``DesignSession(..., mode="service")``; this wrapper only adds a
-        :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "serve_design() is deprecated; use repro.DesignSession.serve() or "
-        "DesignSession(..., mode='service')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DesignSession.serve(
-        kernel_document,
-        typing,
-        documents,
-        design_id=design_id,
-        host=host,
-        port=port,
-        **server_options,
-    )
 
 
 def analyze_design(

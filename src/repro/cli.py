@@ -36,10 +36,10 @@ designer's tool:
 * ``repro-design stats HOST:PORT`` — fetch a live server's metrics
   snapshot (``--watch N`` keeps refreshing it);
 * ``repro-design trace HOST:PORT --id TRACE`` — reconstruct one
-  publication's lifecycle from the trace rings (a directory endpoint
+  publication's lifecycle from the event rings (a directory endpoint
   fans out to every live pod, merging the rings by timestamp);
-* ``repro-design logs HOST:PORT --id TRACE`` — the prose twin of
-  ``trace``: stitch the structured log rings into one time-ordered story;
+* ``repro-design logs HOST:PORT --level warning`` — the same rings'
+  events at or above a severity floor, traced or not;
 * ``repro-design profile HOST:PORT --duration 2`` — sample a live
   member's stacks and print flamegraph-compatible collapsed output;
 * ``repro-design slo HOST:PORT`` — summarize latency objectives and
@@ -460,53 +460,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_argument(stats, "the metrics snapshot")
 
-    trace = subparsers.add_parser(
-        "trace",
-        help="reconstruct a publication's lifecycle from the trace rings",
-    )
-    trace.add_argument(
-        "endpoint",
-        metavar="HOST:PORT",
-        help="server endpoint to query (a directory fans out to its live pods)",
-    )
-    trace.add_argument(
-        "--id",
-        dest="trace_id",
-        default=None,
-        metavar="TRACE",
-        help="only this trace id's events (default: the whole ring)",
-    )
-    trace.add_argument(
-        "--limit", type=int, default=None, help="at most this many events per member"
-    )
-    _add_json_argument(trace, "the trace events")
-
-    logs = subparsers.add_parser(
-        "logs",
-        help="stitch structured log lines from the log rings (the prose twin of trace)",
-    )
-    logs.add_argument(
-        "endpoint",
-        metavar="HOST:PORT",
-        help="server endpoint to query (a directory fans out to its live pods)",
-    )
-    logs.add_argument(
-        "--id",
-        dest="trace_id",
-        default=None,
-        metavar="TRACE",
-        help="only this trace id's events (default: the whole ring)",
-    )
-    logs.add_argument(
-        "--level",
-        default=None,
-        choices=("debug", "info", "warning", "error"),
-        help="only events at or above this severity",
-    )
-    logs.add_argument(
-        "--limit", type=int, default=None, help="at most this many events per member"
-    )
-    _add_json_argument(logs, "the log events")
+    for op, summary in (
+        ("trace", "reconstruct a publication's lifecycle from the event rings"),
+        ("logs", "the event rings' events at or above a severity floor, traced or not"),
+    ):
+        events = subparsers.add_parser(op, help=summary)
+        events.add_argument(
+            "endpoint",
+            metavar="HOST:PORT",
+            help="server endpoint to query (a directory fans out to its live pods)",
+        )
+        events.add_argument(
+            "--id",
+            dest="trace_id",
+            default=None,
+            metavar="TRACE",
+            help="only this trace id's events (default: the whole ring)",
+        )
+        if op == "logs":
+            events.add_argument(
+                "--level",
+                default=None,
+                choices=("debug", "info", "warning", "error"),
+                help="only events at or above this severity (default: the member's floor)",
+            )
+        events.add_argument(
+            "--limit", type=int, default=None, help="at most this many events per member"
+        )
+        _add_json_argument(events, "the events")
 
     profile = subparsers.add_parser(
         "profile",
@@ -901,7 +882,7 @@ def _collect_ring_events(endpoint: str, fetch) -> list[dict]:
     """This endpoint's ring, plus -- via the directory's membership view --
     every live pod's, so one command reconstructs a publication's story
     across a whole process federation.  ``fetch(client)`` pulls one
-    member's events (the ``trace`` or ``logs`` wire op)."""
+    member's events."""
     from repro.service.client import ServiceClient
     from repro.service.protocol import ServiceError
 
@@ -931,20 +912,19 @@ def _collect_ring_events(endpoint: str, fetch) -> list[dict]:
     return events
 
 
-def _collect_trace_events(args: argparse.Namespace) -> list[dict]:
-    return _collect_ring_events(
-        args.endpoint,
-        lambda client: client.trace(args.trace_id, limit=args.limit)["events"],
+def _run_events(args: argparse.Namespace) -> int:
+    """``trace`` and ``logs``: one export of the event rings, one printer."""
+    filters = {"trace_id": args.trace_id, "limit": args.limit}
+    if args.command == "logs":
+        filters["level"] = args.level
+    events = _collect_ring_events(
+        args.endpoint, lambda client: getattr(client, args.command)(**filters)["events"]
     )
-
-
-def _run_trace(args: argparse.Namespace) -> int:
-    events = _collect_trace_events(args)
     if args.json:
         _emit_json({"trace": args.trace_id, "events": events})
         return 0 if events else 1
     if not events:
-        print("no trace events recorded")
+        print("no events recorded")
         return 1
     base = events[0].get("ts", 0.0)
     for event in events:
@@ -954,37 +934,11 @@ def _run_trace(args: argparse.Namespace) -> int:
         attrs = " ".join(
             f"{key}={event[key]}"
             for key in sorted(event)
-            if key not in ("trace", "name", "component", "ts", "ms")
-        )
-        line = f"+{offset:9.3f} ms  [{event.get('component', '?'):<12}] {event.get('name', '?'):<18}{took}"
-        print(f"{line}  {attrs}".rstrip())
-    return 0
-
-
-def _run_logs(args: argparse.Namespace) -> int:
-    events = _collect_ring_events(
-        args.endpoint,
-        lambda client: client.logs(
-            args.trace_id, limit=args.limit, level=args.level
-        )["events"],
-    )
-    if args.json:
-        _emit_json({"trace": args.trace_id, "events": events})
-        return 0 if events else 1
-    if not events:
-        print("no log events recorded")
-        return 1
-    base = events[0].get("ts", 0.0)
-    for event in events:
-        offset = 1000 * (event.get("ts", base) - base)
-        attrs = " ".join(
-            f"{key}={event[key]}"
-            for key in sorted(event)
-            if key not in ("trace", "msg", "component", "ts", "level")
+            if key not in ("trace", "level", "name", "component", "ts", "ms")
         )
         line = (
             f"+{offset:9.3f} ms  {event.get('level', '?'):<7} "
-            f"[{event.get('component', '?'):<12}] {event.get('msg', '?')}"
+            f"[{event.get('component', '?'):<12}] {event.get('name', '?'):<18}{took}"
         )
         print(f"{line}  {attrs}".rstrip())
     return 0
@@ -1286,8 +1240,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "pod": _run_pod,
         "federate": _run_federate,
         "stats": _run_stats,
-        "trace": _run_trace,
-        "logs": _run_logs,
+        "trace": _run_events,
+        "logs": _run_events,
         "profile": _run_profile,
         "slo": _run_slo,
     }

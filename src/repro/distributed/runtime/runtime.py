@@ -399,7 +399,6 @@ class ValidationRuntime:
         shards: Optional[int] = None,
         backend: str = "thread",
         validation_backend: Optional[str] = None,
-        tracer=None,
         logger=None,
     ) -> None:
         from repro.engine.backends import resolve_backend
@@ -407,15 +406,11 @@ class ValidationRuntime:
         self.document = document
         self.network = document.network
         self.validation_backend = resolve_backend(validation_backend)
-        #: Optional :class:`repro.observability.TraceRecorder`.  Trace ids
+        #: Optional :class:`repro.observability.LogRecorder`.  Trace ids
         #: ride with publications (``_pending_traces``), so the shard task
-        #: that eventually parses and validates a payload can stamp its
-        #: settle event with the publication's trace even when the
-        #: validation round runs later, from another thread.
-        self.tracer = tracer
-        #: Optional :class:`repro.observability.LogRecorder` -- the trace
-        #: ring's prose twin; publish/settle outcomes are logged into it
-        #: with the same wire-propagated trace ids.
+        #: that eventually validates a payload can stamp its settle event
+        #: with the publication's trace even when the validation round
+        #: runs later, from another thread.
         self.logger = logger
         functions = tuple(document.resources)
         peer_count = max(1, len(functions))
@@ -552,28 +547,19 @@ class ValidationRuntime:
                 and self.document.resources[function].validator is self._ack_validator.get(function)
             ):
                 self.stats.clean_publications += 1
-                if self.tracer is not None:
-                    self.tracer.record_flat(
-                        trace_id, "runtime.publish", None, "function", function, "clean", True
-                    )
                 if self.logger is not None:
                     self.logger.log_flat(
-                        "debug", "publication clean (fingerprint hit)", trace_id,
-                        "function", function,
+                        "debug", "runtime.publish", trace_id, "function", function, "clean", True
                     )
                 return True
             self._pending_payloads[function] = (fingerprint, payload)
             if trace_id is not None:
                 self._pending_traces[function] = trace_id
             self._current_fp[function] = None
-        if self.tracer is not None:
-            self.tracer.record_flat(
-                trace_id, "runtime.publish", None, "function", function, "clean", False
-            )
         if self.logger is not None:
             self.logger.log_flat(
-                "info", "publication queued for validation", trace_id,
-                "function", function, "bytes", len(payload),
+                "info", "runtime.publish", trace_id,
+                "function", function, "clean", False, "bytes", len(payload),
             )
         return False
 
@@ -622,21 +608,13 @@ class ValidationRuntime:
         with self._state_lock:
             report = ingest.finish()
             verdict = self.current_verdict()
-        if self.tracer is not None:
-            self.tracer.record(
-                trace_id,
-                "stream.settle",
-                duration_ms=1000 * (time.perf_counter() - started),
-                function=report.function,
-                backend=self.validation_backend,
-                payload_bytes=report.payload_bytes,
-                peer_valid=report.valid,
-            )
         if self.logger is not None:
             self.logger.log_flat(
-                "warning" if report.malformed else "info", "stream settled", trace_id,
-                "function", report.function, "peer_valid", report.valid,
-                "bytes", report.payload_bytes, "malformed", report.malformed,
+                "warning" if report.malformed else "info", "stream.settle", trace_id,
+                "function", report.function, "backend", self.validation_backend,
+                "peer_valid", report.valid, "bytes", report.payload_bytes,
+                "malformed", report.malformed,
+                "ms", round(1000 * (time.perf_counter() - started), 3),
             )
         return report, verdict
 
@@ -753,34 +731,16 @@ class ValidationRuntime:
                 )
                 ack = peer.validate_locally() if stale else self._acks[function]
                 outcomes.append(_PeerOutcome(function, fingerprint, ack, stale, fingerprinted))
-            if self.tracer is not None and traces:
-                shard_ms = 1000 * (time.perf_counter() - shard_started)
-                for outcome in outcomes:
-                    trace_id = traces.get(outcome.function)
-                    if trace_id:
-                        self.tracer.record_flat(
-                            trace_id,
-                            "shard.settle",
-                            shard_ms,
-                            "shard",
-                            shard,
-                            "function",
-                            outcome.function,
-                            "backend",
-                            self.validation_backend,
-                            "ack",
-                            outcome.ack,
-                            "validated",
-                            outcome.validated,
-                        )
             if self.logger is not None and traces:
+                shard_ms = round(1000 * (time.perf_counter() - shard_started), 3)
                 for outcome in outcomes:
                     trace_id = traces.get(outcome.function)
                     if trace_id:
                         self.logger.log_flat(
-                            "info", "shard settled publication", trace_id,
+                            "info", "shard.settle", trace_id,
                             "shard", shard, "function", outcome.function,
-                            "ack", outcome.ack,
+                            "backend", self.validation_backend, "ack", outcome.ack,
+                            "validated", outcome.validated, "ms", shard_ms,
                         )
             return outcomes
 

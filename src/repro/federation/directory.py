@@ -77,7 +77,6 @@ class DirectoryServer(ValidationServer):
 
     def __init__(self, *args, lease_ttl: float = DEFAULT_LEASE_TTL, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.tracer.component = "directory"
         self.logger.component = "directory"
         self.lease_ttl = lease_ttl
         self._pods: dict[str, PodRecord] = {}
@@ -207,7 +206,7 @@ class DirectoryServer(ValidationServer):
             record.expires_at = now + self.lease_ttl
             record.joins += 1
         self.logger.info(
-            "pod joined", pod=pod, functions=len(record.functions),
+            "pod.join", pod=pod, functions=len(record.functions),
             joins=record.joins, pods=len(self._pods),
         )
         return {
@@ -279,27 +278,14 @@ class DirectoryServer(ValidationServer):
         after = self._global_verdict_of(design)["valid"]
         self._last_global[design] = after
         self.logger.log_flat(
-            "info", "verdict recorded", trace_id,
+            "info", "verdict.record", trace_id,
             "pod", pod, "design", design, "recorded", len(acks),
         )
-        if trace_id:
-            self.tracer.record(
-                trace_id, "verdict.record", pod=pod, design=design, recorded=len(acks)
-            )
         if after is not before:
             self.logger.log_flat(
-                "info", "global verdict flipped", trace_id,
-                "design", design,
-                "old", _verdict_state(before), "new", _verdict_state(after),
+                "info", "verdict.flip", trace_id,
+                "design", design, "old", _verdict_state(before), "new", _verdict_state(after),
             )
-            if trace_id:
-                self.tracer.record(
-                    trace_id,
-                    "verdict.flip",
-                    design=design,
-                    old=_verdict_state(before),
-                    new=_verdict_state(after),
-                )
         return {
             "design": design,
             "recorded": len(acks),

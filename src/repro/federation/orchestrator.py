@@ -437,18 +437,8 @@ class Federation:
         return merge_expositions(parts)
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None) -> list:
-        """One publication's lifecycle merged across every member's ring.
-
-        Pulls each member's trace ring over the ``trace`` wire op and
-        merges the events by wall-clock timestamp -- this is how a trace
-        that hops pod -> directory is reconstructed even when the members
-        are separate OS processes.
-        """
-        events: list[dict] = []
-        for _member_id, _role, client, _host in self._members():
-            events.extend(client.trace(trace_id, limit=limit)["events"])
-        events.sort(key=lambda event: event.get("ts", 0.0))
-        return events
+        """The federation's events that carry a trace id (optionally one id's)."""
+        return self._events("trace", trace_id=trace_id, limit=limit)
 
     def logs(
         self,
@@ -456,16 +446,18 @@ class Federation:
         limit: Optional[int] = None,
         level: Optional[str] = None,
     ) -> list:
-        """The federation's structured log lines, merged and time-ordered.
+        """The federation's events at or above a level floor (optionally one trace's)."""
+        return self._events("logs", trace_id=trace_id, limit=limit, level=level)
 
-        The prose twin of :meth:`trace`: each member's log ring is pulled
-        over the ``logs`` wire op and the events merge by wall-clock
-        timestamp, so one trace id yields a single readable story spanning
-        pods and directory even across OS processes.
+    def _events(self, op: str, **filters) -> list:
+        """Every member's ring pulled over the ``op`` wire op, merged by timestamp.
+
+        This is how one publication's story that hops pod -> directory is
+        reconstructed even when the members are separate OS processes.
         """
         events: list[dict] = []
         for _member_id, _role, client, _host in self._members():
-            events.extend(client.logs(trace_id, limit=limit, level=level)["events"])
+            events.extend(getattr(client, op)(**filters)["events"])
         events.sort(key=lambda event: event.get("ts", 0.0))
         return events
 

@@ -59,7 +59,6 @@ class PodServer(ValidationServer):
     ) -> None:
         super().__init__(*args, **kwargs)
         self.pod_id = pod_id
-        self.tracer.component = f"pod:{pod_id}"
         self.logger.component = f"pod:{pod_id}"
         self.directory_host = directory_host
         self.directory_port = directory_port
@@ -183,10 +182,7 @@ class PodServer(ValidationServer):
 
     async def _note_directory_error(self) -> None:
         self.directory_errors += 1
-        self.logger.warning(
-            "directory interaction failed",
-            pod=self.pod_id, errors=self.directory_errors,
-        )
+        self.logger.warning("directory.error", pod=self.pod_id, errors=self.directory_errors)
         await self._drop_directory_client()
 
     # ------------------------------------------------------------------ #
@@ -242,7 +238,7 @@ class PodServer(ValidationServer):
                     )
                 self._note_lease_ok()
                 self.logger.info(
-                    "joined directory", pod=self.pod_id,
+                    "directory.join", pod=self.pod_id,
                     functions=len(functions), designs=len(self._designs),
                 )
                 return True
@@ -269,25 +265,14 @@ class PodServer(ValidationServer):
             )
         except (ServiceError, OSError, ConnectionError):
             await self._note_directory_error()
-            if trace_id:
-                self.tracer.record(trace_id, "verdict.push_failed", design=design_id)
             self.logger.log_flat(
-                "warning", "verdict push failed", trace_id,
-                "design", design_id, "pod", self.pod_id,
+                "warning", "verdict.push_failed", trace_id, "design", design_id, "pod", self.pod_id
             )
             return False
         self._note_lease_ok()
-        if trace_id:
-            self.tracer.record(
-                trace_id,
-                "verdict.push",
-                duration_ms=1000 * (time.perf_counter() - started),
-                design=design_id,
-                pod=self.pod_id,
-            )
         self.logger.log_flat(
-            "info", "verdict pushed to directory", trace_id,
-            "design", design_id, "pod", self.pod_id,
+            "info", "verdict.push", trace_id, "design", design_id, "pod", self.pod_id,
+            "ms", round(1000 * (time.perf_counter() - started), 3),
         )
         return True
 
@@ -304,9 +289,7 @@ class PodServer(ValidationServer):
                 if error.code == "unknown-pod":
                     # The directory restarted: membership and verdicts are
                     # gone.  Re-join and re-push everything.
-                    self.logger.warning(
-                        "directory lost our membership; resyncing", pod=self.pod_id
-                    )
+                    self.logger.warning("directory.resync", pod=self.pod_id)
                     await self._sync_directory()
                 else:
                     await self._note_directory_error()

@@ -164,13 +164,8 @@ class _RequestMixin:
         return self._call("stats")
 
     def trace(self, trace_id: Optional[str] = None, limit: Optional[int] = None):
-        """Export the server's trace ring (optionally one trace's events)."""
-        fields = {}
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
-        if limit is not None:
-            fields["limit"] = limit
-        return self._call("trace", fields)
+        """Export the server's events that carry a trace id (optionally one id's)."""
+        return self._events("trace", trace_id=trace_id, limit=limit)
 
     def logs(
         self,
@@ -178,15 +173,11 @@ class _RequestMixin:
         limit: Optional[int] = None,
         level: Optional[str] = None,
     ):
-        """Export the server's structured log ring (optionally filtered)."""
-        fields = {}
-        if trace_id is not None:
-            fields["trace_id"] = trace_id
-        if limit is not None:
-            fields["limit"] = limit
-        if level is not None:
-            fields["level"] = level
-        return self._call("logs", fields)
+        """Export the server's events at or above a level floor (default: the server's)."""
+        return self._events("logs", trace_id=trace_id, limit=limit, level=level)
+
+    def _events(self, op: str, **filters):
+        return self._call(op, {key: value for key, value in filters.items() if value is not None})
 
     def profile(
         self,

@@ -307,13 +307,12 @@ OPERATIONS = {
     "validate": ("design", "function"),
     "revalidate": ("design",),
     "stats": (),
-    # Export the server's trace ring (optional ``trace_id`` filter and
-    # ``limit``).  Any op may carry an optional ``trace`` body field -- a
-    # client-minted trace id; every layer that sees it appends lifecycle
-    # events to its ring, which is what this op reads back.
+    # Export the server's event ring.  Any op may carry an optional
+    # ``trace`` body field -- a client-minted trace id that labels every
+    # lifecycle event the request causes.  ``trace`` returns the events
+    # that carry a trace id, ``logs`` those at or above a ``level`` floor;
+    # both take an optional ``trace_id`` filter and ``limit``.
     "trace": (),
-    # Export the server's structured log ring (optional ``trace_id``,
-    # ``level`` floor and ``limit``) -- the prose twin of ``trace``.
     "logs": (),
     # Drive the member's sampling profiler: ``action`` is ``start``
     # (optional ``hz``/``reset``), ``stop``, ``status`` or ``fetch``

@@ -41,7 +41,6 @@ from repro.observability.exposition import MetricsExporter, render_exposition
 from repro.observability.logs import LogRecorder
 from repro.observability.profiling import SamplingProfiler
 from repro.observability.slo import SloEvaluator
-from repro.observability.tracing import TraceRecorder
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
@@ -80,8 +79,8 @@ _JOIN_TIMEOUT = 30.0
 #: reports the runtime as stalled (a wedged executor call).
 RUNTIME_STALL_SECONDS = 5.0
 
-#: Chatty read-path ops logged at ``debug`` so the default ``info`` view
-#: of the log ring stays about admission and state changes.
+#: Chatty read-path ops whose ``op`` event is ``debug``, so an ``info``
+#: view of the event ring stays about admission and state changes.
 _QUIET_OPS = frozenset({"ping", "stats", "trace", "logs", "publish_stream_chunk"})
 
 #: The server-side name for a typed request failure: the same class the
@@ -238,7 +237,7 @@ class AdmissionController:
         if self.max_queue_depth is not None and depth >= self.max_queue_depth:
             self._server.metrics.record_shed("queue-full")
             self._server.logger.log_flat(
-                "warning", "publication shed: admission queue full", item.trace_id,
+                "warning", "op.shed", item.trace_id, "reason", "queue-full",
                 "design", item.design, "function", item.function, "depth", depth,
             )
             raise OpError(
@@ -340,7 +339,6 @@ class ValidationServer:
         stream_inline_threshold: Optional[int] = DEFAULT_STREAM_INLINE_THRESHOLD,
         max_streams_per_shard: Optional[int] = DEFAULT_MAX_STREAMS_PER_SHARD,
         metrics_port: Optional[int] = None,
-        tracer: Optional[TraceRecorder] = None,
         logger: Optional[LogRecorder] = None,
         log_sink: Optional[IO[str]] = None,
     ) -> None:
@@ -373,12 +371,9 @@ class ValidationServer:
         #: ``None`` keeps the HTTP exposition off; ``0`` binds ephemeral.
         self.metrics_port = metrics_port
         self._exporter: Optional[MetricsExporter] = None
-        #: The publication-lifecycle trace ring; shared with every
-        #: registered design's runtime so shard tasks record into it.
-        self.tracer = tracer if tracer is not None else TraceRecorder(component="server")
-        #: The structured log ring -- the trace ring's prose twin, shared
-        #: with the runtimes the same way.  ``log_sink`` (e.g.
-        #: ``sys.stderr``) mirrors every event as one JSON line.
+        #: The event ring (traces and logs); shared with every registered
+        #: design's runtime so shard tasks emit into it.  ``log_sink``
+        #: (e.g. ``sys.stderr``) mirrors every kept event as one JSON line.
         self.logger = logger if logger is not None else LogRecorder(component="server")
         if log_sink is not None:
             self.logger.sink = log_sink
@@ -430,8 +425,7 @@ class ValidationServer:
             ).start()
             self.metrics_port = self._exporter.port
         self.logger.info(
-            "server listening", host=self.host, port=self.port,
-            metrics_port=self.metrics_port,
+            "server.listen", host=self.host, port=self.port, metrics_port=self.metrics_port
         )
         self.admission.start()
         if self.stream_ttl is not None:
@@ -454,7 +448,7 @@ class ValidationServer:
             return
         self._closing = True
         self._closed = True
-        self.logger.info("server shutting down", host=self.host, port=self.port)
+        self.logger.info("server.shutdown", host=self.host, port=self.port)
         self.profiler.stop()
         self._close_exporter()
         if self._reaper_task is not None:
@@ -588,7 +582,6 @@ class ValidationServer:
             max_workers=self.runtime_workers,
             shards=self.runtime_shards,
             validation_backend=self.validation_backend,
-            tracer=self.tracer,
             logger=self.logger,
         )
         try:
@@ -621,8 +614,8 @@ class ValidationServer:
     ) -> RegisteredDesign:
         """Register a design from in-process objects (no wire round-trip).
 
-        Used by :func:`repro.api.serve_design` and the benchmarks to boot a
-        server with a design already installed; the wire path is
+        Used by :meth:`repro.api.DesignSession.serve` and the benchmarks to
+        boot a server with a design already installed; the wire path is
         ``register_design``.  Call before :meth:`start`.
         """
         return self.install_design(self.build_design(design_id, kernel, typing, documents))
@@ -652,7 +645,7 @@ class ValidationServer:
         if wait > 0.0:
             self.metrics.record_shed("rate-limited")
             self.logger.log_flat(
-                "warning", "request shed: rate limit", None,
+                "warning", "op.shed", None, "reason", "rate-limited",
                 "op", op, "client", connection.peer_host, "retry_after", round(wait, 4),
             )
             raise OpError(
@@ -782,12 +775,7 @@ class ValidationServer:
             await self._post_op(op, body, result)
         except OpError as error:
             self.metrics.record_error(error.code)
-            if trace_id:
-                self.tracer.record(trace_id, "op.error", op=op, code=error.code)
-            self.logger.log_flat(
-                "warning", "op failed", trace_id,
-                "op", str(op), "code", error.code,
-            )
+            self.logger.log_flat("warning", "op.error", trace_id, "op", str(op), "code", error.code)
             await connection.send_safely(
                 protocol.error_frame(
                     request_id, error.code, error.message, retry_after=error.retry_after
@@ -796,11 +784,9 @@ class ValidationServer:
             return
         except Exception as error:  # a bug, not a protocol situation -- still typed
             self.metrics.record_error("internal-error")
-            if trace_id:
-                self.tracer.record(trace_id, "op.error", op=op, code="internal-error")
             self.logger.log_flat(
-                "error", "op crashed", trace_id,
-                "op", str(op), "exception", type(error).__name__,
+                "error", "op.error", trace_id,
+                "op", str(op), "code", "internal-error", "exception", type(error).__name__,
             )
             await connection.send_safely(
                 protocol.error_frame(request_id, "internal-error", f"{type(error).__name__}: {error}")
@@ -808,15 +794,9 @@ class ValidationServer:
             return
         elapsed = time.perf_counter() - started
         self.metrics.record_request(op, elapsed)
-        if trace_id:
-            design = body.get("design")
-            if isinstance(design, str):
-                self.tracer.record_flat(trace_id, "op", elapsed * 1000.0, "op", op, "design", design)
-            else:
-                self.tracer.record_flat(trace_id, "op", elapsed * 1000.0, "op", op)
         design = body.get("design")
         self.logger.log_flat(
-            "debug" if op in _QUIET_OPS else "info", "op completed", trace_id,
+            "debug" if op in _QUIET_OPS else "info", "op", trace_id,
             "op", op, "design", design if isinstance(design, str) else None,
             "ms", round(elapsed * 1000.0, 3),
         )
@@ -856,10 +836,8 @@ class ValidationServer:
             return {"stopping": True}
         if op == "stats":
             return self._stats()
-        if op == "trace":
-            return self._trace(body)
-        if op == "logs":
-            return self._logs(body)
+        if op in ("trace", "logs"):
+            return self._events(op, body)
         if op == "profile":
             return self._profile(body)
         if op == "register_design":
@@ -894,22 +872,12 @@ class ValidationServer:
         """
         return None
 
-    def _trace(self, body: dict) -> dict:
-        """Export the trace ring (optionally one trace id's events)."""
-        trace_id = body.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise OpError("bad-request", "'trace_id' must be a string")
-        limit = body.get("limit")
-        if limit is not None and not isinstance(limit, int):
-            raise OpError("bad-request", "'limit' must be an integer")
-        return {
-            "component": self.tracer.component,
-            "enabled": self.tracer.enabled,
-            "events": self.tracer.export(trace_id, limit),
-        }
+    def _events(self, op: str, body: dict) -> dict:
+        """Export the event ring, optionally one trace id's and the last ``limit``.
 
-    def _logs(self, body: dict) -> dict:
-        """Export the structured log ring (optionally filtered)."""
+        ``trace`` keeps the events that carry a trace id; ``logs`` keeps
+        those at or above the ``level`` floor (default: the recorder's).
+        """
         trace_id = body.get("trace_id")
         if trace_id is not None and not isinstance(trace_id, str):
             raise OpError("bad-request", "'trace_id' must be a string")
@@ -920,8 +888,11 @@ class ValidationServer:
         if level is not None and not isinstance(level, str):
             raise OpError("bad-request", "'level' must be a string")
         try:
-            events = self.logger.export(trace_id, limit, level)
-        except ValueError as error:  # unknown level name
+            if op == "trace":
+                events = self.logger.export(trace_id, limit, traced=True)
+            else:
+                events = self.logger.export(trace_id, limit, level or self.logger.level)
+        except ValueError as error:  # unknown level name, negative limit
             raise OpError("bad-request", str(error)) from None
         return {
             "component": self.logger.component,
@@ -949,11 +920,11 @@ class ValidationServer:
                 )
             except ValueError as error:
                 raise OpError("bad-request", str(error)) from None
-            self.logger.info("profiler started", hz=self.profiler.hz, fresh=started)
+            self.logger.info("profiler.start", hz=self.profiler.hz, fresh=started)
             return {"started": started, **self.profiler.snapshot()}
         if action == "stop":
             stopped = self.profiler.stop()
-            self.logger.info("profiler stopped", was_running=stopped)
+            self.logger.info("profiler.stop", was_running=stopped)
             return {"stopped": stopped, **self.profiler.snapshot()}
         if action == "fetch":
             limit = body.get("limit")
@@ -1033,7 +1004,7 @@ class ValidationServer:
             entry = await self.run_in_executor(build)
             self.install_design(entry)
         self.logger.info(
-            "design registered",
+            "design.register",
             trace_id=body.get("trace") if isinstance(body.get("trace"), str) else None,
             design=design_id, functions=len(documents),
         )
@@ -1146,12 +1117,9 @@ class ValidationServer:
         admitted: list[tuple[_Publication, bool]] = []
         for item in segment:
             if item.trace_id and item.enqueued:
-                self.tracer.record_flat(
-                    item.trace_id,
-                    "queue.wait",
-                    1000 * (time.perf_counter() - item.enqueued),
-                    "function",
-                    item.function,
+                self.logger.log_flat(
+                    "debug", "queue.wait", item.trace_id, "function", item.function,
+                    "ms", round(1000 * (time.perf_counter() - item.enqueued), 3),
                 )
             try:
                 clean = entry.runtime.publish(
@@ -1370,7 +1338,7 @@ class _Connection:
 class ServiceHandle:
     """A server running on its own thread and event loop.
 
-    What the blocking world (tests, benchmarks, ``api.serve_design``) uses
+    What the blocking world (tests, benchmarks, :meth:`DesignSession.serve`) uses
     to get a live endpoint: ``start()`` returns once the port is bound,
     ``close()`` performs the full graceful shutdown and joins the thread.
     """

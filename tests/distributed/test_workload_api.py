@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.api import run_distributed_workload
+from repro.api import DesignSession
 from repro.cli import main
 
 
-class TestRunDistributedWorkload:
+class TestRunWorkload:
     def test_report_shape_and_agreement(self):
-        report = run_distributed_workload(peers=4, documents=12, workers=2, seed=5)
+        report = DesignSession.run_workload(peers=4, documents=12, workers=2, seed=5)
         assert report.peers == 4
         assert report.documents == 12
         assert report.verdicts_agree
@@ -19,7 +19,7 @@ class TestRunDistributedWorkload:
         ).documents_validated
 
     def test_centralized_strategy_opt_in(self):
-        report = run_distributed_workload(
+        report = DesignSession.run_workload(
             peers=3, documents=9, workers=2, strategies=("serial", "centralized")
         )
         assert report.outcome("centralized").bytes_shipped > report.outcome("serial").bytes_shipped

@@ -1,24 +1,15 @@
 """The unified DesignSession API: one design, four execution substrates.
 
 Every mode must answer the same verdicts for the same publications, the
-deprecated module-level entry points must still work (modulo their
-:class:`DeprecationWarning`), and unknown modes/backends must fail with
-errors that name the valid choices.
+design-free statics must not warn, and unknown modes/backends must fail
+with errors that name the valid choices.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    MODES,
-    DesignSession,
-    ExecutionConfig,
-    dtd,
-    run_distributed_workload,
-    serve_design,
-    validate_stream,
-)
+from repro.api import MODES, DesignSession, ExecutionConfig, dtd, new_trace_id
 from repro.errors import DesignError
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import distributed_workload
@@ -116,31 +107,20 @@ def test_closed_session_refuses_the_verbs():
         session.validate()
 
 
-class TestDeprecatedWrappers:
-    def test_validate_stream_warns_and_still_validates(self):
-        schema = dtd("r", {"r": "a*"})
-        with pytest.warns(DeprecationWarning, match="stream_validate"):
-            assert validate_stream(schema, "<r><a/></r>") is True
-        with pytest.warns(DeprecationWarning):
-            assert validate_stream(schema, b"<r><b/></r>") is False
+def test_runtime_trace_has_one_event_per_site():
+    workload = build_workload()
+    event = workload.events[0]
+    trace_id = new_trace_id()
+    with DesignSession(
+        workload.kernel, workload.typing, workload.initial_documents, mode="runtime", workers=2
+    ) as session:
+        session.publish(event.function, tree_to_xml(event.document), trace_id=trace_id)
+        names = [entry["name"] for entry in session.trace(trace_id)]
+        assert session.logs(trace_id) == session.trace(trace_id)
+    assert sorted(names) == ["runtime.publish", "shard.settle"]
 
-    def test_run_distributed_workload_warns_and_still_reports(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            report = run_distributed_workload(peers=2, documents=4, workers=2)
-        assert report.verdicts_agree
 
-    def test_serve_design_warns_and_still_serves(self):
-        from repro.service.client import ServiceClient
-
-        workload = build_workload()
-        with pytest.warns(DeprecationWarning, match="DesignSession.serve"):
-            handle = serve_design(
-                workload.kernel, workload.typing, workload.initial_documents, design_id="dep"
-            )
-        with handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                assert client.ping()["designs"] == ["dep"]
-
+class TestDesignFreeStatics:
     def test_the_new_statics_do_not_warn(self, recwarn):
         schema = dtd("r", {"r": "a*"})
         assert DesignSession.stream_validate(schema, "<r/>") is True

@@ -1,11 +1,11 @@
-"""One publication's logs+trace reconstructed across a process federation.
+"""One publication's events reconstructed across a process federation.
 
-The acceptance gate for structured logging: the trace id a caller mints
-must label every log line the publication provokes -- pod admission,
-runtime queue, shard settle, verdict push, directory record -- so that
-``Federation.logs(tid)`` tells one readable story, and interleaving it
-with ``Federation.trace(tid)`` yields a single consistent timeline, even
-when the members are separate OS processes.
+The acceptance gate for the event ring: the trace id a caller mints must
+label every event the publication provokes -- pod admission, runtime
+queue, shard settle, verdict push, directory record -- so that
+``Federation.logs(tid)`` tells one time-ordered story, the same one
+``Federation.trace(tid)`` returns, even when the members are separate OS
+processes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro.federation import Federation
-from repro.observability.tracing import new_trace_id
+from repro.observability.logs import new_trace_id
 from repro.workloads.synthetic import distributed_workload
 from repro.trees.xml_io import tree_to_xml
 
@@ -74,31 +74,19 @@ def test_logs_and_trace_interleave_by_trace_id(workload, spawn):
     assert any(component.startswith("pod:") for component in components), components
     assert "directory" in components, components
 
-    messages = [event["msg"] for event in logs]
-    assert "publication queued for validation" in messages
-    assert "verdict pushed to directory" in messages
-    assert "verdict recorded" in messages
+    steps = [(event["component"], event["name"]) for event in logs]
+    published = next(
+        index for index, (component, name) in enumerate(steps)
+        if component.startswith("pod:") and name == "runtime.publish"
+    )
+    assert any(name == "verdict.push" for _component, name in steps)
     # Causality survives the merge: the publication was queued on the pod
     # before the directory could record its verdict.  (The pod's own
-    # "pushed" line lands after the round-trip, so it trails the record.)
-    assert messages.index("publication queued for validation") < messages.index(
-        "verdict recorded"
-    )
+    # verdict.push lands after the round-trip, so it trails the record.)
+    assert published < steps.index(("directory", "verdict.record"))
 
-    # Interleaving the prose (logs) with the spans (trace) by wall clock
-    # yields one monotone timeline for the single trace id.
-    timeline = sorted(
-        [("log", event["ts"], event["msg"]) for event in logs]
-        + [("trace", event["ts"], event["name"]) for event in trace],
-        key=lambda item: item[1],
-    )
-    stamps = [ts for _kind, ts, _what in timeline]
-    assert stamps == sorted(stamps)
-    kinds = {kind for kind, _ts, _what in timeline}
-    assert kinds == {"log", "trace"}
-    # The trace's verdict.record and the log's "verdict recorded" are the
-    # same moment seen through two instruments.
-    assert any(what == "verdict.record" for kind, _ts, what in timeline if kind == "trace")
+    # One ring, one export: the trace of the id is the same events.
+    assert trace == logs
 
     # Every member answered its health endpoints while serving the run.
     assert len(health) == 3  # 2 pods + directory
@@ -147,7 +135,7 @@ def test_untraced_logs_still_flow_without_a_trace_id(workload):
         federation.publish(function, payload)
         everything = federation.logs()
         assert federation.close()["clean"]
-    # Lifecycle lines (join, listen) appear even with no trace id minted.
-    messages = {event["msg"] for event in everything}
-    assert "pod joined" in messages
+    # Lifecycle events (join, listen) appear even with no trace id minted.
+    names = {event["name"] for event in everything}
+    assert "pod.join" in names
     assert all("trace" not in event or event["trace"] for event in everything)

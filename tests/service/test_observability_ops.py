@@ -1,4 +1,4 @@
-"""The operational wire surface: logs/profile ops, health routes, SLO stats."""
+"""The operational wire surface: trace/logs/profile ops, health routes, SLO stats."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.federation import DirectoryServer, PodServer
+from repro.observability.logs import LogRecorder
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.trees.xml_io import tree_to_xml
@@ -61,16 +62,53 @@ class TestCapabilities:
         assert limits["health"] is False  # no exporter, no /healthz
 
 
-class TestLogsOp:
+class TestEventOps:
     def test_logs_carry_the_publication_story(self, client, workload):
         payload = tree_to_xml(workload.initial_documents["f1"])
         client.publish("d", "f1", payload, trace_id="trace-9")
         result = client.logs(trace_id="trace-9")
         assert result["component"] == "server"
-        messages = [event["msg"] for event in result["events"]]
-        assert "publication queued for validation" in messages
-        assert "op completed" in messages
+        names = [event["name"] for event in result["events"]]
+        assert "runtime.publish" in names
+        assert "op" in names
         assert all(event["trace"] == "trace-9" for event in result["events"])
+        assert client.trace("trace-9")["events"] == result["events"]
+
+    def test_trace_keeps_traced_events_and_logs_keeps_all(self, client, workload):
+        payload = tree_to_xml(workload.initial_documents["f1"])
+        client.publish("d", "f1", payload)
+        client.publish("d", "f1", payload, trace_id="trace-7")
+        traced = client.trace()["events"]
+        logged = client.logs()["events"]
+        assert traced and all(event.get("trace") for event in traced)
+        assert any("trace" not in event for event in logged)
+        assert [event for event in logged if "trace" in event] == traced
+
+    def test_trace_works_under_a_warning_floor(self, workload):
+        server = ValidationServer(runtime_workers=2, logger=LogRecorder(level="warning"))
+        server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
+        payload = tree_to_xml(workload.initial_documents["f1"])
+        with ServiceHandle(server).start() as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                client.publish("d", "f1", payload)
+                client.publish("d", "f1", payload, trace_id="trace-w")
+                names = [event["name"] for event in client.trace("trace-w")["events"]]
+                retained = client.logs(level="debug")["events"]
+                default_view = client.logs()["events"]
+        assert "op" in names and "runtime.publish" in names
+        # Below the floor only traced events were kept, and the default
+        # logs view stays at the floor.
+        assert all("trace" in event for event in retained if event["level"] == "info")
+        assert all(event["level"] in ("warning", "error") for event in default_view)
+
+    def test_limit_zero_is_empty_and_negative_is_rejected(self, client):
+        client.ping()
+        client.ping()
+        for op in (client.trace, client.logs):
+            assert op(limit=0)["events"] == []
+            with pytest.raises(ServiceError) as caught:
+                op(limit=-1)
+            assert caught.value.code == "bad-request"
 
     def test_level_floor_and_validation(self, client):
         client.ping()
@@ -85,7 +123,7 @@ class TestLogsOp:
             client.publish("nope", "f1", "<r/>", trace_id="trace-err")
         events = client.logs(trace_id="trace-err", level="warning")["events"]
         assert any(
-            event["msg"] == "op failed" and event["code"] == "unknown-design"
+            event["name"] == "op.error" and event["code"] == "unknown-design"
             for event in events
         )
 

@@ -51,6 +51,10 @@ class TestConstructors:
         with pytest.raises(AttributeError):
             repro.does_not_exist
 
+    def test_every_api_name_resolves_from_the_package(self):
+        for name in api.__all__:
+            assert getattr(repro, name) is getattr(api, name), name
+
 
 class TestAnalyzeDesign:
     def test_top_down_report_with_perfect_typing(self):

@@ -493,7 +493,8 @@ class TestObservabilityCLI:
         handle.close()
         assert main(["stats", endpoint]) == 2  # typed ReproError exit
 
-    def test_logs_filters_by_trace_id(self, live_server, capsys):
+    @pytest.mark.parametrize("verb", ["logs", "trace"])
+    def test_logs_filters_by_trace_id(self, live_server, capsys, verb):
         from repro.service.client import ServiceClient
         from repro.trees.xml_io import tree_to_xml
 
@@ -502,11 +503,12 @@ class TestObservabilityCLI:
         payload = tree_to_xml(workload.initial_documents[function])
         with ServiceClient(handle.host, handle.port) as client:
             client.publish("workload", function, payload, trace_id="cli-trace")
-        exit_code = main(["logs", f"{handle.host}:{handle.port}", "--id", "cli-trace"])
+        exit_code = main([verb, f"{handle.host}:{handle.port}", "--id", "cli-trace"])
         out = capsys.readouterr().out
         assert exit_code == 0
-        assert "publication queued for validation" in out
+        assert "runtime.publish" in out
         assert "[server" in out
+        assert "took" in out  # the op event's duration
 
     def test_logs_json_and_empty_trace_is_nonzero(self, live_server, capsys):
         handle, _workload = live_server
