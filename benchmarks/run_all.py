@@ -175,7 +175,7 @@ def _scenario_streaming_validate(peers: int, documents: int, backend: str = "pyt
     """
     import tracemalloc
 
-    from repro.streaming import StreamingValidator, XMLEventSource
+    from repro.streaming import StreamingValidator
 
     workload, pairs = _publication_pairs(peers, documents)
     machines = {
@@ -187,9 +187,8 @@ def _scenario_streaming_validate(peers: int, documents: int, backend: str = "pyt
     max_depth = 0
     for probe_function, payload in pairs[: len(workload.initial_documents)]:
         run_probe = machines[probe_function].run()
-        source = XMLEventSource()
-        source.pump(payload, run_probe)
-        run_probe.consume(source.close())
+        run_probe.feed(payload)
+        run_probe.finish()
         max_depth = max(max_depth, run_probe.max_depth)
     tracemalloc.start()
     machines[function].validate_payload(largest, chunk_bytes=8192)

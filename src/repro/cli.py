@@ -55,6 +55,7 @@ arrow notation (``name -> content``); see :mod:`repro.schemas.dtd_text`.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 from pathlib import Path
@@ -74,12 +75,26 @@ def _load_schema(path: str, start: Optional[str] = None):
     return parse_dtd_text(text, start=start)
 
 
+def _xml_payload(payload: bytes) -> Optional[bytes]:
+    """The XML document in a file's bytes, or ``None`` for term notation.
+
+    Markup may follow a UTF-8 byte order mark and whitespace; the XML
+    parser then honours the document's own encoding declaration.
+    """
+    body = payload.removeprefix(codecs.BOM_UTF8).lstrip()
+    return body if body.startswith(b"<") else None
+
+
 def _load_document(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.strip()
-    if stripped.startswith("<"):
-        return tree_from_xml(stripped)
-    return parse_term(stripped)
+    payload = Path(path).read_bytes()
+    xml = _xml_payload(payload)
+    if xml is not None:
+        return tree_from_xml(xml)
+    try:
+        text = payload.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise ReproError("the document is neither XML nor UTF-8 term notation") from None
+    return parse_term(text.strip())
 
 
 def _add_common_kernel_argument(parser: argparse.ArgumentParser) -> None:
@@ -621,8 +636,8 @@ def _run_validate(args: argparse.Namespace) -> int:
     if args.stream:
         from repro.streaming import streaming_validator_for
 
-        payload = Path(args.document).read_bytes()
-        if not payload.lstrip().startswith(b"<"):
+        payload = _xml_payload(Path(args.document).read_bytes())
+        if payload is None:
             raise ReproError("--stream validates raw XML; the document is not XML")
         validator = streaming_validator_for(schema, backend=args.backend)
         valid = validator.validate_payload(payload, args.chunk_bytes)

@@ -31,12 +31,13 @@
   payload bytes, so a typing change re-validates from them.
 * **Streamed ingest** -- :meth:`ValidationRuntime.publish_stream` /
   :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*:
-  each chunk is hashed and pushed through the peer's event-driven
-  :mod:`~repro.streaming` validator in one pass, so working memory is
-  O(document depth) and the verdict settles at ingest time (no validation
-  round).  The peer's :class:`~repro.distributed.peer.PublicationRecord`
-  keeps no bytes, so after a typing change a streamed publication must be
-  re-published.  Streamed and whole-frame publications dedupe against
+  each chunk is hashed and handed to the peer's
+  :class:`~repro.streaming.machine.StreamingRun`, whose expat callbacks
+  step the DFA frames as elements start and end -- one pass, no element
+  objects, so working memory is O(document depth) and the verdict settles
+  at ingest time (no validation round).  The peer's
+  :class:`~repro.distributed.peer.PublicationRecord` keeps no bytes, so
+  after a typing change a streamed publication must be re-published.  Streamed and whole-frame publications dedupe against
   each other because both address the same payload bytes.
 * **Cost/statistics accounting** -- a :class:`RuntimeReport` extends the
   serial :class:`~repro.distributed.network.ValidationReport` with how many
@@ -67,7 +68,7 @@ from repro.engine.fingerprint import (
     tree_fingerprint,
 )
 from repro.errors import DesignError, InvalidXMLError
-from repro.streaming.events import XMLEventSource, iter_chunks
+from repro.streaming.events import iter_chunks
 from repro.streaming.machine import streaming_validator_for
 
 #: Fingerprint recorded for a peer with no document (validation returns False).
@@ -214,13 +215,10 @@ class StreamIngest:
         "function",
         "_validator",
         "_hasher",
-        "_source",
         "_run",
         "_malformed",
         "_payload_bytes",
         "_finished",
-        "_max_depth",
-        "_events",
     )
 
     def __init__(self, runtime: "ValidationRuntime", function: str) -> None:
@@ -236,27 +234,23 @@ class StreamIngest:
         #: re-propagation races the stream.
         self._validator = peer.validator
         self._hasher = payload_hasher()
-        self._source = XMLEventSource()
         self._run = streaming_validator_for(peer.validator.compiled).run()
         self._malformed = False
         self._payload_bytes = 0
         self._finished = False
-        self._max_depth = 0
-        self._events = 0
 
     def abort(self) -> None:
         """Discard the stream without settling anything.
 
         What a severed connection or an idle-stream reaper calls: the
         runtime never learns the stream existed (no stats, no acks, no
-        document update), and the parser/hasher state is dropped so an
-        abandoned stream cannot hold frame stacks alive.  Idempotent, and
-        safe to call after :meth:`finish`.
+        document update), and the run drops its parser, so an abandoned
+        stream leaves no parser/run reference cycle for the garbage
+        collector.  A chunk still feeding on another thread stops at the
+        next element.  Idempotent, and safe to call after :meth:`finish`.
         """
         self._finished = True
-        self._source = None
-        self._run = None
-        self._hasher = None
+        self._run.abort()
 
     def feed(self, chunk: str | bytes) -> None:
         """Hash and validate one chunk (malformed input flips to hash-only)."""
@@ -267,16 +261,12 @@ class StreamIngest:
         self._payload_bytes += len(data)
         if not self._malformed:
             try:
-                self._source.pump(data, self._run)
+                self._run.feed(data)
             except InvalidXMLError:
                 # Keep hashing (the content address must cover the whole
-                # payload so re-publishing the same bad bytes clean-skips),
-                # but drop the parser and the frame stack right away.
+                # payload so re-publishing the same bad bytes clean-skips);
+                # the run has already dropped its parser.
                 self._malformed = True
-                self._max_depth = self._run.max_depth
-                self._events = self._run.events
-                self._source = None
-                self._run = None
 
     def finish(self) -> StreamPublishReport:
         """Settle the publication: clean skip, fresh verdict, or malformed.
@@ -300,10 +290,16 @@ class StreamIngest:
         runtime.stats.publications += 1
         runtime.stats.streamed_publications += 1
         runtime.stats.fingerprints_computed += 1
-        if self._run is not None:
-            max_depth, events = self._run.max_depth, self._run.events
-        else:
-            max_depth, events = self._max_depth, self._events
+        run = self._run
+        malformed = self._malformed
+        ack = False
+        # Finish on every path, a clean one included: finishing drops the
+        # run's parser and with it the parser/run reference cycle.
+        if not malformed:
+            try:
+                ack = run.finish()
+            except InvalidXMLError:
+                malformed = True
         if (
             function in runtime._acks
             and function not in runtime._pending_payloads
@@ -319,20 +315,10 @@ class StreamIngest:
                 clean=True,
                 valid=runtime._acks[function],
                 payload_bytes=self._payload_bytes,
-                max_depth=max_depth,
-                events=events,
+                max_depth=run.max_depth,
+                events=run.events,
             )
-        malformed = self._malformed
-        ack = False
         validator = self._validator
-        if not malformed:
-            try:
-                self._run.consume(self._source.close())
-            except InvalidXMLError:
-                malformed = True
-            else:
-                ack = self._run.verdict()
-                max_depth, events = self._run.max_depth, self._run.events
         if malformed:
             # An unparseable publication is an invalid one; the peer keeps
             # whatever it held before, like the whole-frame wire path.
@@ -357,8 +343,8 @@ class StreamIngest:
             valid=ack,
             malformed=malformed,
             payload_bytes=self._payload_bytes,
-            max_depth=max_depth,
-            events=events,
+            max_depth=run.max_depth,
+            events=run.events,
         )
 
 
@@ -387,8 +373,8 @@ class ValidationRuntime:
         names the scheduler.  Resolved eagerly (argument >
         ``$REPRO_BACKEND`` > ``python``) so an unavailable backend fails
         at construction.  ``publish`` validates through it; the streamed
-        ingest of ``publish_stream`` keeps the interpreted O(depth)
-        machine for its incremental per-chunk contract, inheriting only
+        ingest of ``publish_stream`` always steps the interpreted O(depth)
+        machine from its expat callbacks, chunk by chunk, inheriting only
         the memoized compiled schema.
     """
 

@@ -1,43 +1,41 @@
-"""Incremental XML structure events over :class:`xml.etree.ElementTree.XMLPullParser`.
+"""Element events straight from expat: the parser the streaming run owns.
 
 The paper abstracts documents to pure element structure (no attributes, no
-character data), so the only events a validator needs are ``("open",
-label)`` when an element starts and ``("close", label)`` when it ends.
-:class:`XMLEventSource` produces exactly those from byte (or text) chunks
-of any size -- a whole payload, network-frame-sized slices, or single
-bytes -- and guarantees **O(depth) working memory**:
+character data), so a validator needs exactly two events: an element
+starts, an element ends.  :func:`element_parser` builds the ``pyexpat``
+parser that delivers them as callbacks -- the same expat that
+:mod:`xml.etree.ElementTree` wraps, configured to classify every input the
+way ElementTree does, but with nothing ElementTree adds on top: no
+element objects, no text buffering, no queued event tuples.  Parser state
+is the expat buffer plus the open-tag stack expat keeps anyway, so working
+memory stays O(depth) for chunks of any size.
 
-The pull parser builds an element tree as it goes, which would make the
-source O(document) again.  The trick that prevents it: in document order,
-an element that just closed is always the *last* child of its parent, so
-the source deletes it from the parent (``del parent[-1]``, O(1)) the
-moment its close event is emitted.  Only the open path from the root to
-the current element is ever alive -- no per-node allocation survives a
-node's close.
+Two places where bare expat and ElementTree differ are pinned here:
 
-Malformed or truncated input raises the library's typed
-:class:`~repro.errors.InvalidXMLError` (never the stdlib's ``ParseError``),
-at the first offending chunk for syntax errors and at :meth:`close` for
-documents that simply end too early.  One source parses one document; a
-fresh document gets a fresh source, so parser state can never leak across
-documents.
+* **Labels.**  With ``namespace_separator="}"`` expat names a namespaced
+  element ``uri}local`` where ElementTree says ``{uri}local``;
+  :func:`expat_name` maps a schema label to the name expat reports, so a
+  lookup table built once per schema needs no string work per event.
+* **Entities.**  Bare expat silently skips an undeclared entity under an
+  external DTD subset or after an external parameter-entity reference,
+  and a declared external entity; ElementTree rejects all three.  The
+  parser refuses them with :class:`~repro.errors.InvalidXMLError` too.
+
+Expat's own syntax errors carry the same message text ElementTree gives;
+the run re-raises them as the library's typed
+:class:`~repro.errors.InvalidXMLError`, never the stdlib's ``ExpatError``.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from typing import Iterator, Union
+from xml.parsers.expat import ParserCreate
 
 from repro.errors import InvalidXMLError
 
-__all__ = ["OPEN", "CLOSE", "XMLEventSource", "iter_chunks"]
-
-#: Event kinds (plain strings so events are cheap, comparable tuples).
-OPEN = "open"
-CLOSE = "close"
+__all__ = ["element_parser", "expat_name", "iter_chunks"]
 
 Chunk = Union[bytes, str]
-Event = tuple[str, str]
 
 
 def iter_chunks(payload: Chunk, chunk_bytes: int = 65536) -> Iterator[Chunk]:
@@ -48,153 +46,20 @@ def iter_chunks(payload: Chunk, chunk_bytes: int = 65536) -> Iterator[Chunk]:
         yield payload[start : start + chunk_bytes]
 
 
-class XMLEventSource:
-    """One document's worth of ``(open, label)`` / ``(close, label)`` events.
+def expat_name(label: str) -> str:
+    """The element name expat reports where ElementTree reports ``label``."""
+    return label[1:] if label.startswith("{") else label
 
-    Usage::
 
-        source = XMLEventSource()
-        for chunk in chunks:
-            for kind, label in source.feed(chunk):
-                ...
-        for kind, label in source.close():
-            ...
+def element_parser(start, end):
+    """A fresh expat parser calling ``start(name, attributes)`` / ``end(name)``."""
+    parser = ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = _refuse_entity
+    parser.ExternalEntityRefHandler = _refuse_entity
+    return parser
 
-    :meth:`feed` is a generator: events are produced lazily as the caller
-    iterates, so even a single huge chunk never materialises an O(nodes)
-    event list.  Attributes, namespaces, text and comments are ignored per
-    the paper's abstraction of XML.
-    """
 
-    __slots__ = ("_parser", "_stack", "_events", "_max_depth", "_closed", "_done")
-
-    def __init__(self) -> None:
-        self._parser = ET.XMLPullParser(events=("start", "end"))
-        #: The open elements, root first -- the only O(depth) state.
-        self._stack: list[ET.Element] = []
-        self._events = 0
-        self._max_depth = 0
-        self._closed = False
-        self._done = False  # the root element has closed
-
-    # ------------------------------------------------------------------ #
-    # accounting
-    # ------------------------------------------------------------------ #
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open elements."""
-        return len(self._stack)
-
-    @property
-    def max_depth(self) -> int:
-        """Deepest nesting seen so far (the O(depth) bound's witness)."""
-        return self._max_depth
-
-    @property
-    def events(self) -> int:
-        """Total events emitted so far (2 x elements seen closed+open)."""
-        return self._events
-
-    @property
-    def complete(self) -> bool:
-        """Has the root element closed (a whole document was consumed)?"""
-        return self._done
-
-    # ------------------------------------------------------------------ #
-    # feeding
-    # ------------------------------------------------------------------ #
-
-    def feed(self, chunk: Chunk) -> Iterator[Event]:
-        """Feed one chunk; lazily yield the events it completes.
-
-        The returned generator must be exhausted before the next
-        :meth:`feed` call (events are consumed from the parser in order).
-        """
-        if self._closed:
-            raise InvalidXMLError("the event source is closed; one source parses one document")
-        try:
-            self._parser.feed(chunk)
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        return self._drain()
-
-    def pump(self, chunk: Chunk, sink) -> None:
-        """Feed one chunk, dispatching events straight into a sink.
-
-        The fused fast path of :meth:`feed`: instead of yielding event
-        tuples it calls ``sink.open(label)`` / ``sink.close()`` inline --
-        what :meth:`StreamingValidator.validate_chunks
-        <repro.streaming.machine.StreamingValidator.validate_chunks>` and
-        the runtime's stream ingest drive, one attribute lookup and zero
-        allocations per event.
-        """
-        if self._closed:
-            raise InvalidXMLError("the event source is closed; one source parses one document")
-        try:
-            self._parser.feed(chunk)
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        stack = self._stack
-        stack_append, stack_pop = stack.append, stack.pop
-        sink_open, sink_close = sink.open, sink.close
-        try:
-            for action, element in self._parser.read_events():
-                self._events += 1
-                if action == "start":
-                    stack_append(element)
-                    if len(stack) > self._max_depth:
-                        self._max_depth = len(stack)
-                    sink_open(element.tag)
-                else:
-                    stack_pop()
-                    if stack:
-                        del stack[-1][-1]
-                    else:
-                        self._done = True
-                        element.clear()
-                    sink_close()
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-
-    def close(self) -> list[Event]:
-        """Signal end of input; return any trailing events.
-
-        Raises :class:`InvalidXMLError` when the input was truncated (open
-        elements remain) or empty (no root element at all).
-        """
-        if self._closed:
-            return []
-        self._closed = True
-        try:
-            self._parser.close()
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
-        trailing = list(self._drain())
-        if not self._done:
-            raise InvalidXMLError("truncated XML: the document ended before the root closed")
-        return trailing
-
-    def _drain(self) -> Iterator[Event]:
-        stack = self._stack
-        try:
-            for action, element in self._parser.read_events():
-                self._events += 1
-                if action == "start":
-                    stack.append(element)
-                    if len(stack) > self._max_depth:
-                        self._max_depth = len(stack)
-                    yield (OPEN, element.tag)
-                else:
-                    stack.pop()
-                    if stack:
-                        # The closed element is the last child of its
-                        # parent: drop it in O(1) so nothing per-node
-                        # outlives its close event.
-                        del stack[-1][-1]
-                    else:
-                        self._done = True
-                        element.clear()
-                    yield (CLOSE, element.tag)
-        except ET.ParseError as error:
-            raise InvalidXMLError(f"malformed XML: {error}") from None
+def _refuse_entity(*_args) -> None:
+    raise InvalidXMLError("malformed XML: reference to an undeclared or external entity")

@@ -11,10 +11,12 @@ document order, and a child's mask is final the moment the child closes.
 holding, for every rule ``(state, label)`` of the schema's tree automaton
 that could assign ``state`` to this element, the current state set of that
 rule's horizontal automaton (a bitmask, stepped with the same per-symbol
-successor arrays as the batch loop).  On ``open`` a frame is pushed; on
-``close`` the frame is folded into the element's possible-state mask and
-fed -- as one symbol-set -- into the parent frame.  Working memory is
-O(depth x rules-per-label); no per-node allocation survives a close.
+successor arrays as the batch loop).  The run owns an expat parser
+(:func:`~repro.streaming.events.element_parser`) whose callbacks do the
+work: an element start pushes a frame, an element end folds the frame into
+the element's possible-state mask and feeds it -- as one symbol-set --
+into the parent frame.  Working memory is O(depth x rules-per-label); no
+per-node allocation survives an element's end.
 
 Verdicts are **identical** to :meth:`BatchValidator.validate` for every
 schema kind: a frame *is* the pending suffix of
@@ -25,21 +27,22 @@ DTDs each label has a single rule and the masks collapse to one bit.
 Early rejection: the instant some element's mask is empty (no rule of its
 label survived) -- or an element's label has no rule at all -- no state
 assignment can exist for any completion of the document, so the run dies
-immediately (``rejected_at`` records the event index).  Dead runs ignore
-further events at O(1) cost; callers typically keep feeding the event
-source anyway so malformed documents are still classified as malformed,
-matching the parse-first tree path.
+immediately (``rejected_at`` records the event index).  The run then swaps
+in callbacks that only count events and depth, and keeps parsing, so a
+document that is both invalid and malformed is still classified as
+malformed, matching the parse-first tree path.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Iterable, Optional, Union
+from xml.parsers.expat import ExpatError
 
 from repro.engine.backends import resolve_backend
 from repro.engine.batch import CompiledSchema
-from repro.errors import DesignError
-from repro.streaming.events import CLOSE, OPEN, XMLEventSource, iter_chunks
+from repro.errors import InvalidXMLError
+from repro.streaming.events import element_parser, expat_name, iter_chunks
 
 __all__ = ["StreamingRun", "StreamingValidator", "streaming_validator_for"]
 
@@ -102,7 +105,8 @@ class StreamingValidator:
             from repro.engine.codegen import codegen_validator_for
 
             self._codegen = codegen_validator_for(self.compiled, engine)
-        #: label -> frame template; an entry is ``(state_bit, delta,
+        #: label, as expat names it (:func:`~repro.streaming.events.expat_name`)
+        #: -> frame template; an entry is ``(state_bit, delta,
         #: finals_closed)`` with ``delta`` the dense per-symbol successor
         #: arrays over the schema's shared state order.  A frame is the
         #: template's shallow copy ``[entries, current_0, ..., current_k]``
@@ -113,7 +117,9 @@ class StreamingValidator:
             entries = tuple(
                 (state_bit, nfa.delta, nfa.finals_closed) for state_bit, nfa in rules
             )
-            self._label_rules[label] = [entries] + [1 << nfa.initial for _sb, nfa in rules]
+            self._label_rules[expat_name(label)] = [entries] + [
+                1 << nfa.initial for _sb, nfa in rules
+            ]
         self._finals_mask = self.compiled._finals_mask
 
     @property
@@ -134,8 +140,8 @@ class StreamingValidator:
         Raises :class:`~repro.errors.InvalidXMLError` on malformed or
         truncated input -- the same classification the tree path gives --
         and otherwise returns the :class:`BatchValidator`-identical
-        verdict.  The event source keeps parsing after an early rejection
-        so a document that is both invalid and malformed is reported as
+        verdict.  The run keeps parsing after an early rejection, so a
+        document that is both invalid and malformed is reported as
         malformed, exactly like parse-then-validate.
 
         On the ``codegen``/``numpy`` backends the verdict comes from the
@@ -156,11 +162,9 @@ class StreamingValidator:
 
     def _interpreted_chunks(self, chunks: Iterable[Union[bytes, str]]) -> bool:
         run = self.run()
-        source = XMLEventSource()
         for chunk in chunks:
-            source.pump(chunk, run)
-        run.consume(source.close())
-        return run.verdict()
+            run.feed(chunk)
+        return run.finish()
 
     def validate_payload(self, payload: Union[bytes, str], chunk_bytes: int = 65536) -> bool:
         """Validate one whole payload (sliced into bounded chunks internally).
@@ -177,10 +181,23 @@ class StreamingValidator:
 
 
 class StreamingRun:
-    """The mutable state of validating one document event-by-event."""
+    """Validating one document: an expat parser stepping DFA frames.
+
+    :meth:`feed` hands each chunk to the run's own expat parser, whose
+    start and end callbacks push and fold the frames directly;
+    :meth:`finish` ends the input and returns the verdict.  Malformed or
+    truncated input raises :class:`~repro.errors.InvalidXMLError`.  One
+    run parses one document.
+
+    The parser holds the run's bound methods, so the two form a reference
+    cycle; the run drops its parser on :meth:`finish`, on a parse error
+    and on :meth:`abort`, leaving nothing for the cyclic collector.
+    """
 
     __slots__ = (
-        "_machine",
+        "_labels",
+        "_finals_mask",
+        "_parser",
         "_stack",
         "_depth",
         "_max_depth",
@@ -190,12 +207,15 @@ class StreamingRun:
     )
 
     def __init__(self, machine: StreamingValidator) -> None:
-        self._machine = machine
+        self._labels = machine._label_rules
+        self._finals_mask = machine._finals_mask
+        self._parser = element_parser(self._open, self._close)
         #: One frame per open element: ``[entries, current_0, ...]``.
         #: ``entries`` is the machine's shared per-label tuple (never
         #: copied); only the flat frame list is allocated per open element
         #: -- O(depth) live, nothing survives a close.
         self._stack: list[list] = []
+        #: Open elements once the run is dead (the frame stack is dropped).
         self._depth = 0
         self._max_depth = 0
         self._events = 0
@@ -218,16 +238,13 @@ class StreamingRun:
 
     @property
     def max_depth(self) -> int:
+        """Deepest nesting seen so far (the O(depth) bound's witness)."""
         return self._max_depth
 
     @property
     def events(self) -> int:
+        """Element starts plus element ends seen so far."""
         return self._events
-
-    @property
-    def complete(self) -> bool:
-        """Has the root element closed (or the run died early)?"""
-        return self._root_mask is not None or self.rejected
 
     @property
     def root_mask(self) -> Optional[int]:
@@ -237,33 +254,67 @@ class StreamingRun:
         return self._root_mask
 
     # ------------------------------------------------------------------ #
-    # events
+    # input
     # ------------------------------------------------------------------ #
 
-    def open(self, label: str) -> None:
-        """An element with ``label`` starts."""
-        self._events += 1
-        self._depth += 1
-        if self._depth > self._max_depth:
-            self._max_depth = self._depth
+    def feed(self, chunk: Union[bytes, str]) -> None:
+        """Parse one chunk of any size, stepping the frames it completes."""
+        self._parse(chunk, False)
+
+    def finish(self) -> bool:
+        """End the input; the document's BatchValidator-identical verdict.
+
+        Raises :class:`~repro.errors.InvalidXMLError` when the document is
+        truncated or empty, even if it was already rejected.
+        """
+        self._parse(b"", True)
+        self._parser = None
         if self._rejected_at is not None:
-            return
-        template = self._machine._label_rules.get(label)
+            return False
+        return bool(self._root_mask & self._finals_mask)
+
+    def abort(self) -> None:
+        """Drop the parser without a verdict (idempotent).
+
+        A feed may still be running on another thread (a dying connection
+        aborts its streams): clearing the callbacks silences it.
+        """
+        parser, self._parser = self._parser, None
+        if parser is not None:
+            parser.StartElementHandler = parser.EndElementHandler = None
+
+    def _parse(self, data: Union[bytes, str], final: bool) -> None:
+        parser = self._parser
+        if parser is None:
+            raise InvalidXMLError("this run is finished; one run parses one document")
+        try:
+            parser.Parse(data, final)
+        except ExpatError as error:
+            self._parser = None
+            raise InvalidXMLError(f"malformed XML: {error}") from None
+        except InvalidXMLError:  # an entity reference the parser refused
+            self._parser = None
+            raise
+
+    # ------------------------------------------------------------------ #
+    # parser callbacks
+    # ------------------------------------------------------------------ #
+
+    def _open(self, name: str, _attributes) -> None:
+        self._events += 1
+        template = self._labels.get(name)
+        stack = self._stack
         if template is None:
             # No rule can ever assign a state to this element: its mask
             # will be 0, so no completion of the document is valid.
-            self._rejected_at = self._events
+            self._reject(len(stack) + 1)
             return
-        self._stack.append(template.copy())
+        stack.append(template.copy())
+        if len(stack) > self._max_depth:
+            self._max_depth = len(stack)
 
-    def close(self) -> None:
-        """The innermost open element ends."""
+    def _close(self, _name: str) -> None:
         self._events += 1
-        self._depth -= 1
-        if self._depth < 0:
-            raise DesignError("streaming run saw a close event with no open element")
-        if self._rejected_at is not None:
-            return
         stack = self._stack
         frame = stack.pop()
         entries = frame[0]
@@ -277,7 +328,7 @@ class StreamingRun:
                 if frame[index + 1] & finals_closed:
                     mask |= state_bit
         if not mask:
-            self._rejected_at = self._events
+            self._reject(len(stack))
             return
         if not stack:
             self._root_mask = mask
@@ -307,32 +358,26 @@ class StreamingRun:
         if not alive:
             # Every rule of the parent's label is dead: the parent's mask
             # will be 0 no matter what siblings follow.
-            self._rejected_at = self._events
+            self._reject(len(stack))
 
-    def consume(self, events: Iterable[tuple[str, str]]) -> None:
-        """Dispatch a batch of ``(kind, label)`` events (the hot loop)."""
-        open_, close_ = self.open, self.close
-        for kind, label in events:
-            if kind == OPEN:
-                open_(label)
-            elif kind == CLOSE:
-                close_()
-            else:  # pragma: no cover - event sources only emit open/close
-                raise DesignError(f"unknown streaming event kind {kind!r}")
+    def _reject(self, depth: int) -> None:
+        """Die at the current event; from here on only count the rest."""
+        self._rejected_at = self._events
+        self._stack = []
+        self._depth = depth
+        if depth > self._max_depth:
+            self._max_depth = depth
+        parser = self._parser
+        if parser is not None:  # None only once aborted from another thread
+            parser.StartElementHandler = self._open_dead
+            parser.EndElementHandler = self._close_dead
 
-    # ------------------------------------------------------------------ #
-    # verdict
-    # ------------------------------------------------------------------ #
+    def _open_dead(self, _name: str, _attributes) -> None:
+        self._events += 1
+        self._depth += 1
+        if self._depth > self._max_depth:
+            self._max_depth = self._depth
 
-    def verdict(self) -> bool:
-        """The document's membership verdict (BatchValidator-identical).
-
-        Only meaningful once the document is complete; an incomplete run
-        raises (the event source is responsible for classifying truncated
-        input as :class:`~repro.errors.InvalidXMLError` before this).
-        """
-        if self._rejected_at is not None:
-            return False
-        if self._root_mask is None:
-            raise DesignError("streaming run is incomplete: the root element never closed")
-        return bool(self._root_mask & self._machine._finals_mask)
+    def _close_dead(self, _name: str) -> None:
+        self._events += 1
+        self._depth -= 1

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.distributed.network import DistributedDocument
@@ -148,6 +153,76 @@ class TestPublishStream:
         runtime.publish_stream(function, payload)
         after_clean, _ = runtime.network.snapshot()
         assert after_clean == after_first
+
+
+class TestNoCyclicGarbage:
+    def test_streams_leave_nothing_for_the_cyclic_collector(self, workload, runtime):
+        """A stream's parser and run refer to each other; every ending breaks that.
+
+        Valid, malformed and aborted streams must all be freed by reference
+        counting alone, so the collector finds nothing after 150 of them.
+        """
+        function = next(iter(workload.initial_documents))
+        payload = payload_of(workload, function)
+        runtime.publish_stream(function, payload)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                report = runtime.publish_stream(function, payload, chunk_bytes=64)
+                assert report.valid and not report.malformed
+                report = runtime.publish_stream(function, payload[:-7], chunk_bytes=64)
+                assert report.malformed
+                ingest = runtime.begin_stream(function)
+                ingest.feed(payload[: len(payload) // 2])
+                ingest.abort()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestAbortWhileFeeding:
+    def test_abort_from_another_thread_stops_the_feed_cleanly(self, workload, runtime):
+        """What a dying connection does: abort while a chunk is mid-parse.
+
+        The chunk is large and turns invalid halfway, so the abort usually
+        lands inside the parse, before the rejection.  The feeding thread
+        may only see the typed "already settled" error: the parser must
+        never call into a run that stopped tracking its frames.
+        """
+        function = next(iter(workload.initial_documents))
+        body = payload_of(workload, function)
+        root = body[: body.index(b">") + 1]
+        records = body[len(root) : body.rindex(b"</")]
+        payload = root + records * 200 + b"<zzz/>" + records * 200  # never closes
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ingest = runtime.begin_stream(function)
+                failures = []
+                started = threading.Event()
+
+                def feed():
+                    started.set()
+                    try:
+                        ingest.feed(payload)
+                        ingest.feed(payload)
+                    except DesignError:
+                        pass
+                    except Exception as error:  # anything else breaks the invariant
+                        failures.append(error)
+
+                worker = threading.Thread(target=feed)
+                worker.start()
+                started.wait(10)
+                time.sleep(0.001)
+                ingest.abort()
+                worker.join(10)
+                assert not worker.is_alive()
+                assert failures == []
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestDriverStreamStrategy:

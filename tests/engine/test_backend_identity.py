@@ -31,7 +31,6 @@ from repro.engine import backends as backends_module
 from repro.engine.compilation import CODEGEN_VALIDATOR_KIND
 from repro.errors import DesignError, InvalidXMLError
 from repro.streaming import StreamingValidator, streaming_validator_for
-from repro.streaming.events import XMLEventSource
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_from_xml, tree_to_xml
 from repro.workloads.synthetic import distributed_workload
@@ -133,14 +132,14 @@ class TestRejectedAtIdentity:
         for tree in differential.mutated_trees(kind, rng, 40):
             payload = tree_to_xml(tree).encode("utf-8")
             runs = (oracle.run(), machine.run())
+            verdicts = []
             for run in runs:
-                source = XMLEventSource()
-                run.consume(source.feed(payload))
-                run.consume(source.close())
+                run.feed(payload)
+                verdicts.append(run.finish())
             baseline, candidate = runs
             assert candidate.rejected_at == baseline.rejected_at
             assert candidate.root_mask == baseline.root_mask
-            assert candidate.verdict() is baseline.verdict()
+            assert verdicts[1] is verdicts[0]
             rejected_positions.add(baseline.rejected_at)
         assert rejected_positions != {None}  # some runs must die early
 

@@ -179,15 +179,9 @@ class TestEarlyRejectPositions:
         # event after which no completion exists -- the run must die
         # exactly there, not at the record's (never seen) close.
         run = machine.run()
-        run.open("s")
-        run.open("record")
-        run.open("key")
-        run.close()
-        run.open("stamp")
-        run.close()
+        run.feed(b"<s><record><key/><stamp/>")
         assert not run.rejected
-        run.open("field")
-        run.close()
+        run.feed(b"<field/>")
         assert run.rejected
         assert run.rejected_at == run.events
 
@@ -197,10 +191,7 @@ class TestEarlyRejectPositions:
         payload = b"<s><zzz/>" + b"<record><key/></record>" * 200 + b"</s>"
         assert machine.validate_payload(payload) is False
         run = machine.run()
-        from repro.streaming.events import XMLEventSource
-
-        source = XMLEventSource()
-        run.consume(source.feed(payload))
-        run.consume(source.close())
+        run.feed(payload)
+        assert run.finish() is False
         assert run.rejected_at == 2  # open s, then the ruleless zzz opens
         assert run.events > 400  # the rest was consumed, cheaply

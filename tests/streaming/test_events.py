@@ -1,123 +1,114 @@
-"""Tests for the incremental XML event source."""
+"""Tests for the expat element events a streaming run parses."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import dtd
 from repro.errors import InvalidXMLError, ReproError
-from repro.streaming.events import CLOSE, OPEN, XMLEventSource, iter_chunks
+from repro.streaming import StreamingValidator
+from repro.streaming.events import expat_name, iter_chunks
+
+SCHEMA = dtd("r", {"r": "a?, b?", "b": "c"})
 
 
-def drain(payload, chunk_bytes=None):
-    """All events of one payload, optionally fed in bounded chunks."""
-    source = XMLEventSource()
-    events = []
+def parse(payload, chunk_bytes=None):
+    """Feed one payload (optionally in bounded chunks) and finish the run."""
+    run = StreamingValidator(SCHEMA).run()
     chunks = [payload] if chunk_bytes is None else list(iter_chunks(payload, chunk_bytes))
     for chunk in chunks:
-        events.extend(source.feed(chunk))
-    events.extend(source.close())
-    return events, source
+        run.feed(chunk)
+    return run.finish(), run
 
 
 class TestEventSequence:
     def test_simple_document(self):
-        events, source = drain(b"<r><a/><b><c/></b></r>")
-        assert events == [
-            (OPEN, "r"),
-            (OPEN, "a"),
-            (CLOSE, "a"),
-            (OPEN, "b"),
-            (OPEN, "c"),
-            (CLOSE, "c"),
-            (CLOSE, "b"),
-            (CLOSE, "r"),
-        ]
-        assert source.complete
-        assert source.max_depth == 3  # r > b > c
-        assert source.depth == 0
+        verdict, run = parse(b"<r><a/><b><c/></b></r>")
+        assert verdict is True
+        assert run.events == 8  # four starts, four ends
+        assert run.max_depth == 3  # r > b > c
 
     def test_text_attributes_and_comments_are_ignored(self):
-        payload = b'<r id="1"><!-- note --><a x="2">text</a>tail</r>'
-        events, _source = drain(payload)
-        assert events == [(OPEN, "r"), (OPEN, "a"), (CLOSE, "a"), (CLOSE, "r")]
+        verdict, run = parse(b'<r id="1"><!-- note --><a x="2">text</a>tail</r>')
+        assert verdict is True
+        assert run.events == 4
 
     def test_single_byte_chunks_match_whole_payload(self):
         payload = b"<r><a/><b><c/></b></r>"
-        whole, _ = drain(payload)
-        split, _ = drain(payload, chunk_bytes=1)
-        assert whole == split
+        whole_verdict, whole = parse(payload)
+        split_verdict, split = parse(payload, chunk_bytes=1)
+        assert split_verdict is whole_verdict is True
+        assert (split.events, split.max_depth) == (whole.events, whole.max_depth)
 
     def test_str_chunks_are_accepted(self):
-        events, _ = drain("<r><a/></r>", chunk_bytes=3)
-        assert events[0] == (OPEN, "r")
+        verdict, run = parse("<r><a/></r>", chunk_bytes=3)
+        assert verdict is True
+        assert run.events == 4
 
     def test_iter_chunks_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             list(iter_chunks(b"abc", 0))
 
+    def test_namespaced_labels_use_expat_names(self):
+        assert expat_name("{urn:x}r") == "urn:x}r"
+        assert expat_name("r") == "r"
+
 
 class TestTypedErrors:
     def test_mismatched_tag_raises_typed_error(self):
-        source = XMLEventSource()
+        run = StreamingValidator(SCHEMA).run()
         with pytest.raises(InvalidXMLError):
-            list(source.feed(b"<a><b></a>"))
+            run.feed(b"<a><b></a>")
 
-    def test_truncated_document_raises_on_close(self):
-        source = XMLEventSource()
-        list(source.feed(b"<a><b>"))
+    def test_truncated_document_raises_on_finish(self):
+        run = StreamingValidator(SCHEMA).run()
+        run.feed(b"<r><b>")
         with pytest.raises(InvalidXMLError):
-            source.close()
+            run.finish()
 
-    def test_empty_input_raises_on_close(self):
-        source = XMLEventSource()
+    def test_empty_input_raises_on_finish(self):
+        run = StreamingValidator(SCHEMA).run()
         with pytest.raises(InvalidXMLError):
-            source.close()
+            run.finish()
 
     def test_error_is_a_repro_error(self):
         assert issubclass(InvalidXMLError, ReproError)
 
-    def test_feeding_after_close_raises(self):
-        source = XMLEventSource()
-        list(source.feed(b"<a/>"))
-        source.close()
+    def test_feeding_after_finish_raises(self):
+        run = StreamingValidator(SCHEMA).run()
+        run.feed(b"<r/>")
+        assert run.finish() is True
         with pytest.raises(InvalidXMLError):
-            list(source.feed(b"<b/>"))
+            run.feed(b"<r/>")
 
-    def test_close_is_idempotent(self):
-        source = XMLEventSource()
-        list(source.feed(b"<a/>"))
-        assert source.close() == []
-        assert source.close() == []
+    def test_finishing_twice_raises(self):
+        run = StreamingValidator(SCHEMA).run()
+        run.feed(b"<r/>")
+        run.finish()
+        with pytest.raises(InvalidXMLError):
+            run.finish()
+
+    def test_feeding_after_a_parse_error_raises(self):
+        run = StreamingValidator(SCHEMA).run()
+        with pytest.raises(InvalidXMLError):
+            run.feed(b"<r></a>")
+        with pytest.raises(InvalidXMLError):
+            run.feed(b"<r/>")
+
+    def test_aborted_run_refuses_input(self):
+        run = StreamingValidator(SCHEMA).run()
+        run.feed(b"<r>")
+        run.abort()
+        run.abort()
+        with pytest.raises(InvalidXMLError):
+            run.feed(b"</r>")
 
 
 class TestMemoryDiscipline:
     def test_closed_siblings_do_not_accumulate(self):
-        """The O(depth) claim: closed children are dropped from their parent."""
-        source = XMLEventSource()
-        opened = closed = 0
-        for event, _label in source.feed(b"<r>" + b"<a/>" * 500):
-            if event == OPEN:
-                opened += 1
-            else:
-                closed += 1
-        assert (opened, closed) == (501, 500)
-        # Only the root is open, and it holds at most one pending child.
-        assert source.depth == 1
-        root = source._stack[0]
-        assert len(root) <= 1
-
-    def test_pump_dispatches_into_sink(self):
-        class Sink:
-            def __init__(self):
-                self.log = []
-
-            def open(self, label):
-                self.log.append(("open", label))
-
-            def close(self):
-                self.log.append(("close", None))
-
-        source, sink = XMLEventSource(), Sink()
-        source.pump(b"<r><a/></r>", sink)
-        source.close()
-        assert sink.log == [("open", "r"), ("open", "a"), ("close", None), ("close", None)]
+        """The O(depth) claim: one frame per open element, none per closed one."""
+        run = StreamingValidator(dtd("r", {"r": "a*"})).run()
+        run.feed(b"<r>" + b"<a/>" * 500)
+        assert run.events == 1001
+        assert run.max_depth == 2
+        assert len(run._stack) == 1  # only the root is open

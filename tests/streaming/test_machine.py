@@ -7,8 +7,8 @@ import pytest
 from repro.api import dtd, edtd, sdtd
 from repro.engine import BatchValidator, CompilationEngine
 from repro.engine.batch import CompiledSchema
-from repro.errors import DesignError, InvalidXMLError
-from repro.streaming import StreamingValidator, XMLEventSource, streaming_validator_for
+from repro.errors import InvalidXMLError
+from repro.streaming import StreamingValidator, streaming_validator_for
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_to_xml
 
@@ -71,9 +71,8 @@ class TestVerdicts:
         for term in ["s(record(key))", "s(record(field key))", "s"]:
             tree = parse_term(term)
             run = machine.run()
-            source = XMLEventSource()
-            run.consume(source.feed(tree_to_xml(tree)))
-            run.consume(source.close())
+            run.feed(tree_to_xml(tree))
+            run.finish()
             assert run.root_mask == compiled._possible_mask(tree)
 
 
@@ -81,47 +80,39 @@ class TestEarlyRejection:
     def test_unknown_label_rejects_at_its_open_event(self):
         machine = StreamingValidator(RECORD_DTD)
         run = machine.run()
-        run.open("s")
-        run.open("zzz")
+        run.feed(b"<s><zzz>")
         assert run.rejected
         assert run.rejected_at == 2
-        assert run.verdict() is False
+        run.feed(b"</zzz></s>")
+        assert run.finish() is False
 
     def test_dead_parent_rules_reject_before_document_ends(self):
         # 'field' before 'key' kills the record rule the moment the
         # misplaced child closes -- long before the record itself ends.
         machine = StreamingValidator(RECORD_DTD)
         run = machine.run()
-        for label in ("s", "record", "field"):
-            run.open(label)
-        run.close()  # field closes: record's content model is now dead
+        run.feed(b"<s><record><field/>")  # field closes: record's content model is now dead
         assert run.rejected
         assert run.rejected_at == 4
-        # Further events are ignored at O(1); the verdict is fixed.
-        run.open("key")
-        run.close()
-        assert run.verdict() is False
+        # Further events are only counted; the verdict is fixed.
+        run.feed(b"<key/></record></s>")
+        assert run.rejected_at == 4
+        assert run.events == 8
+        assert run.finish() is False
 
     def test_rejection_depth_keeps_counting(self):
         machine = StreamingValidator(RECORD_DTD)
         run = machine.run()
-        run.open("zzz")
-        run.open("deep")
-        run.open("deeper")
+        run.feed(b"<zzz><deep><deeper>")
         assert run.max_depth == 3
 
     def test_incomplete_run_has_no_verdict(self):
         machine = StreamingValidator(RECORD_DTD)
         run = machine.run()
-        run.open("s")
-        assert not run.complete
-        with pytest.raises(DesignError):
-            run.verdict()
-
-    def test_unbalanced_close_raises(self):
-        run = StreamingValidator(RECORD_DTD).run()
-        with pytest.raises(DesignError):
-            run.close()
+        run.feed(b"<s>")
+        assert not run.rejected
+        with pytest.raises(InvalidXMLError):
+            run.finish()
 
 
 class TestCompilation:

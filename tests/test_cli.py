@@ -193,6 +193,36 @@ class TestValidate:
         assert report["valid"] is False
         assert report["error"]
 
+    VALID_BODY = "<eurostat><averages><Good>é</Good><index><value/><year/></index></averages></eurostat>"
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["tree", "stream"])
+    def test_utf8_bom_document(self, schema_file, tmp_path, capsys, mode):
+        document = tmp_path / "bom.xml"
+        document.write_bytes(b"\xef\xbb\xbf" + self.VALID_BODY.encode("utf-8"))
+        code = main(
+            ["validate", "--schema", str(schema_file), "--document", str(document), "--json", *mode]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
+    @pytest.mark.parametrize("mode", [[], ["--stream"]], ids=["tree", "stream"])
+    def test_declared_latin1_document(self, schema_file, tmp_path, capsys, mode):
+        document = tmp_path / "latin1.xml"
+        document.write_bytes(
+            ('<?xml version="1.0" encoding="iso-8859-1"?>\n' + self.VALID_BODY).encode("latin-1")
+        )
+        code = main(
+            ["validate", "--schema", str(schema_file), "--document", str(document), "--json", *mode]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
+    def test_undecodable_term_document_is_reported(self, schema_file, tmp_path, capsys):
+        document = tmp_path / "doc.term"
+        document.write_bytes("eurostat(averages(Good(é)))".encode("latin-1"))
+        assert main(["validate", "--schema", str(schema_file), "--document", str(document)]) == 2
+        assert "neither XML nor UTF-8" in capsys.readouterr().err
+
     def test_json_stream_verdict(self, schema_file, tmp_path, capsys):
         document = tmp_path / "doc.xml"
         document.write_text("<eurostat><nationalIndex/></eurostat>", encoding="utf-8")
