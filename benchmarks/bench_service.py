@@ -90,11 +90,17 @@ def test_wire_fastpath_no_engine_misses(served):
         payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
         for function, payload in payloads.items():
             client.publish("fast", function, payload)
-        before = client.stats()["designs"]["fast"]["engine"]["by_kind"]["batch-validate"]["misses"]
+
+        def tree_memo_misses() -> int:
+            # A wire-registered design folds no Tree, so it may have no
+            # ``batch-validate`` kind at all.
+            kinds = client.stats()["designs"]["fast"]["engine"]["by_kind"]
+            return kinds.get("batch-validate", {}).get("misses", 0)
+
+        before = tree_memo_misses()
         for function, payload in payloads.items():
             assert client.publish("fast", function, payload)["clean"] is True
-        after = client.stats()["designs"]["fast"]["engine"]["by_kind"]["batch-validate"]["misses"]
-        assert after - before == 0
+        assert tree_memo_misses() - before == 0
 
 
 def test_open_loop_latency_under_offered_rate(benchmark, served):

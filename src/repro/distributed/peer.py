@@ -7,51 +7,58 @@ node is activated, and it can validate that document against a *local type*
 in bytes of the serialised XML, which is what the validation-strategy
 benchmark reports.
 
-A peer's document is either a :class:`Tree` (API inputs, registration,
-the serial simulation) or, after a wire publication, a
-:class:`PublicationRecord`: wire publications go from bytes to verdict,
-so the peer holds the verdict and the content address of the bytes, not
-a tree.
+A peer's document is either a :class:`Tree` (API inputs, in-process
+preloading, the serial simulation) or a :class:`PublicationRecord`: wire
+publications and wire registration go from text to verdict, so the peer
+holds the verdict and the content address of the text, not a tree.
 """
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.typing import SchemaType
-from repro.engine.batch import BatchValidator
-from repro.errors import DesignError
+from repro.engine.batch import BatchValidator, parse_payload
+from repro.engine.fingerprint import tree_fingerprint
+from repro.errors import DesignError, InvalidXMLError
 from repro.trees.document import Tree
 from repro.trees.xml_io import tree_from_xml, tree_to_xml
 
 
 @dataclass(frozen=True)
 class PublicationRecord:
-    """What a peer holds after a wire publication: a verdict, not a tree.
+    """What a peer holds after a wire ingest: a verdict, not a tree.
 
-    Both wire ingests validate straight from bytes and build no
-    :class:`Tree`: :meth:`ValidationRuntime.publish
-    <repro.distributed.runtime.runtime.ValidationRuntime.publish>` through
-    :meth:`BatchValidator.validate_payload`, :meth:`ValidationRuntime.publish_stream
+    Every wire ingest validates straight from the serialised document and
+    builds no :class:`Tree`: :meth:`ValidationRuntime.publish
+    <repro.distributed.runtime.runtime.ValidationRuntime.publish>` and
+    :meth:`ValidationRuntime.seed
+    <repro.distributed.runtime.runtime.ValidationRuntime.seed>` (a
+    registration document) through one C-parser pass,
+    :meth:`ValidationRuntime.publish_stream
     <repro.distributed.runtime.runtime.ValidationRuntime.publish_stream>`
     through the O(depth) streaming machine.  The peer keeps this
-    content-addressed record instead: the payload's wire fingerprint, the
-    verdict, and the validator the verdict was computed with.
+    content-addressed record instead: the fingerprint (``wire:`` over a
+    publication's bytes, ``tree:`` over a registration document's
+    structure), the verdict, and the validator the verdict was computed
+    with.
 
-    A whole-frame publication also retains its ``payload`` bytes -- one
-    record per peer, so one payload per peer -- from which a replaced
-    local type re-validates and :meth:`ResourcePeer.answer` parses a tree
-    on demand.  A streamed publication retains none (``payload`` is
-    ``None``): that is its O(depth) memory promise, so after a typing
-    change it must be re-published.
+    A whole-frame publication retains its ``payload`` bytes and a
+    registration document its text -- one record per peer, so one payload
+    per peer -- from which a replaced local type re-validates and
+    :meth:`ResourcePeer.answer` parses a tree on demand.  A streamed
+    publication retains none (``payload`` is ``None``): that is its
+    O(depth) memory promise, so after a typing change it must be
+    re-published.
     """
 
     fingerprint: str
     ack: bool
     validator: object
     payload_bytes: int
-    payload: Optional[bytes] = field(default=None, repr=False)
+    payload: Optional[Union[bytes, str]] = field(default=None, repr=False)
 
     @property
     def streamed(self) -> bool:
@@ -134,7 +141,8 @@ class ResourcePeer(Peer):
     def answer(self) -> Tree:
         """Return the document for a call of the resource (counts the call).
 
-        A whole-frame publication's retained bytes are parsed on demand.
+        A retained payload (a whole-frame publication's bytes, a
+        registration document's text) is parsed on demand.
         """
         if self.document is None:
             raise RuntimeError(f"peer {self.name!r} has no document for {self.function!r}")
@@ -155,21 +163,39 @@ class ResourcePeer(Peer):
         """Replace the peer's document (e.g. a national bureau publishing new data)."""
         self.document = document
 
-    def publish_payload(self, fingerprint: str, payload: Union[bytes, str]) -> bool:
-        """Validate a whole wire payload from its bytes and hold its record.
+    def publish_payload(
+        self, fingerprint: Optional[str], payload: Union[bytes, str]
+    ) -> tuple[str, bool]:
+        """Validate a whole serialised document and hold its record.
 
-        No tree is built: the verdict comes from
-        :meth:`BatchValidator.validate_payload`, and the peer keeps a
-        :class:`PublicationRecord` retaining the bytes.  A malformed payload
-        raises :class:`~repro.errors.InvalidXMLError` and the peer keeps its
+        Returns the record's ``(fingerprint, ack)``.  No tree is built:
+        one C-parser pass, then the validator's fold over the parsed
+        elements.  A wire publication comes with its ``fingerprint`` (the
+        digest of its bytes) and is kept as those bytes.  A registration
+        document comes with none: its text is parsed and kept as text,
+        and the record is addressed by the document's structure -- ``tree:``
+        plus :func:`~repro.engine.fingerprint.tree_fingerprint` over the
+        parsed elements, the address a :class:`Tree` of equal content
+        gets.  A malformed payload raises
+        :class:`~repro.errors.InvalidXMLError` and the peer keeps its
         previous document.
         """
         if self.validator is None:
             raise RuntimeError(f"peer {self.name!r} has no local type to validate against")
-        data = payload.encode("utf-8") if isinstance(payload, str) else payload
-        ack = self.validator.validate_payload(data)
-        self.document = PublicationRecord(fingerprint, ack, self.validator, len(data), data)
-        return ack
+        if fingerprint is None:
+            try:
+                root = parse_payload(payload)
+            except ET.ParseError as error:
+                raise InvalidXMLError(f"malformed XML: {error}") from None
+            fingerprint = "tree:" + tree_fingerprint(root)
+            ack = self.validator.compiled.accepts_element(root, payload)
+        else:
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            ack = self.validator.validate_payload(payload)
+        size = len(payload.encode("utf-8")) if isinstance(payload, str) else len(payload)
+        self.document = PublicationRecord(fingerprint, ack, self.validator, size, payload)
+        return fingerprint, ack
 
     def validate_locally(self) -> bool:
         """Validate the peer's own document against its local type.

@@ -29,6 +29,10 @@
   is built.  The peer then holds a content-addressed
   :class:`~repro.distributed.peer.PublicationRecord` retaining the
   payload bytes, so a typing change re-validates from them.
+  :meth:`ValidationRuntime.seed` sends a registration document, given as
+  text, down the same path; its parser pass also yields the peer's
+  ``tree:`` fingerprint, so the peer addresses exactly as if it had been
+  seeded with the equal ``Tree``.
 * **Streamed ingest** -- :meth:`ValidationRuntime.publish_stream` /
   :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*:
   each chunk is hashed and handed to the peer's
@@ -418,8 +422,9 @@ class ValidationRuntime:
         self._validated_fp: dict[str, str] = {}
         #: function -> cached acknowledgement of the last validation.
         self._acks: dict[str, bool] = {}
-        #: function -> (wire digest, raw payload) awaiting validation.
-        self._pending_payloads: dict[str, tuple[str, str | bytes]] = {}
+        #: function -> (wire digest, raw payload) awaiting validation; the
+        #: digest is ``None`` for a registration seed (see :meth:`seed`).
+        self._pending_payloads: dict[str, tuple[Optional[str], str | bytes]] = {}
         #: function -> trace id of the publication that queued the pending
         #: payload (drained alongside ``_pending_payloads`` by the round).
         self._pending_traces: dict[str, str] = {}
@@ -548,6 +553,27 @@ class ValidationRuntime:
                 "function", function, "clean", False, "bytes", len(payload),
             )
         return False
+
+    def seed(self, function: str, text: str | bytes) -> None:
+        """Queue a peer's registration document, given as its text.
+
+        The next :meth:`validate_locally` round validates it inside the
+        peer's shard task through the same bytes path a :meth:`publish`
+        takes: one C-parser pass, whose elements give both the verdict and
+        the peer's ``tree:`` fingerprint -- the address a
+        :class:`~repro.trees.document.Tree` of equal content gets, so a
+        wire re-publication of the same document is still new content.
+        No ``Tree`` is built; the peer then holds a
+        :class:`~repro.distributed.peer.PublicationRecord` keeping the
+        text, from which a later typing change re-validates.  A seed that
+        fails to parse is reported in the round's ``parse_failures``.
+        """
+        if function not in self.document.resources:
+            raise DesignError(f"no resource peer serves function {function!r}")
+        with self._state_lock:
+            self._pending_payloads[function] = (None, text)
+            self._pending_traces.pop(function, None)
+            self._current_fp[function] = None
 
     def begin_stream(self, function: str) -> StreamIngest:
         """Start a streamed publication for one peer (digest + validate, one pass).
@@ -684,17 +710,21 @@ class ValidationRuntime:
                 peer = self.document.resources[function]
                 pending = payloads.get(function)
                 if pending is not None:
-                    # Validate the queued publication from its bytes here,
-                    # off the coordinator; the peer holds its record.
+                    # Validate the queued publication or seed from its
+                    # text here, off the coordinator; the peer holds its
+                    # record.
                     fingerprint, payload = pending
                     try:
-                        ack = peer.publish_payload(fingerprint, payload)
+                        fingerprint, ack = peer.publish_payload(fingerprint, payload)
                     except InvalidXMLError:
                         # Malformed XML: an invalid publication.  The peer's
                         # previous document is kept; re-publishing the same
                         # bytes is clean-skipped like any other content.
                         outcomes.append(
-                            _PeerOutcome(function, fingerprint, False, True, True, malformed=True)
+                            _PeerOutcome(
+                                function, fingerprint or _NO_DOCUMENT, False, True, True,
+                                malformed=True,
+                            )
                         )
                         continue
                     outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))

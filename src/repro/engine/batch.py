@@ -15,8 +15,12 @@ successor arrays, with no epsilon closures and no set objects.
 document, a batch of documents in a single pass, or produces a
 :class:`BatchReport` for monitoring.  Its bytes entry
 (:meth:`BatchValidator.validate_payload`) takes serialised XML straight
-to a verdict: one C-parser pass, then the same bottom-up fold over the
-parser's elements, with no :class:`Tree` built and nothing memoized.
+to a verdict: one C-parser pass (:func:`parse_payload`), then the same
+bottom-up fold over the parser's elements
+(:meth:`CompiledSchema.accepts_element`), with no :class:`Tree` built and
+nothing memoized.  The two steps are public so that a caller can use one
+parse twice: the runtime also fingerprints a registration document's
+elements.
 """
 
 from __future__ import annotations
@@ -35,6 +39,19 @@ _DOCUMENT_MEMO_CAPACITY = 512
 
 #: Bound on each automaton's dense union-row cache (distinct child masks).
 _UNION_ROW_CAPACITY = 4096
+
+
+def parse_payload(payload: Union[bytes, str]) -> ET.Element:
+    """One pass of the C parser over a serialised document: its root element.
+
+    Bytes are decoded as their XML declaration says; a ``str`` is read as
+    the characters it already is, whatever encoding it declares -- the
+    reading ``tree_from_xml`` gives it.  Malformed input raises
+    :class:`xml.etree.ElementTree.ParseError`.
+    """
+    parser = ET.XMLParser()
+    parser.feed(payload)
+    return parser.close()
 
 
 def _union_row(compiled: CompactNFA, child_mask: int) -> list[int]:
@@ -275,30 +292,43 @@ class CompiledSchema:
     def accepts_payload(self, payload: Union[bytes, str]) -> bool:
         """Membership of one serialised document, from its bytes.
 
-        One pass of the C parser, then the backend's fold over the parsed
-        elements: the interpreted :meth:`_horizontal_accepts` kernel on
-        ``python``, the generated ``_mask_of`` on ``codegen``/``numpy``.
-        Nothing is memoized -- a publication is validated once, so an
-        identity memo would only pin it.  A payload the parser rejects is
-        replayed through the interpreted streaming machine, which raises
-        the same typed :class:`~repro.errors.InvalidXMLError` the
-        streaming surface does; a document too deep for the recursive
-        fold gets its verdict from that iterative machine too.
+        One pass of the C parser (:func:`parse_payload`), then
+        :meth:`accepts_element` over the parsed elements.  Nothing is
+        memoized -- a publication is validated once, so an identity memo
+        would only pin it.  A payload the parser rejects is replayed
+        through the interpreted streaming machine, which raises the same
+        typed :class:`~repro.errors.InvalidXMLError` the streaming surface
+        does.
         """
-        parser = ET.XMLParser()
         try:
-            parser.feed(payload)
-            root = parser.close()
+            root = parse_payload(payload)
+        except ET.ParseError:
+            return self._replay(payload)
+        return self.accepts_element(root, payload)
+
+    def accepts_element(self, root: ET.Element, payload: Union[bytes, str]) -> bool:
+        """Membership of a document the C parser already parsed from ``payload``.
+
+        The backend's fold over the parsed elements: the interpreted
+        :meth:`_horizontal_accepts` kernel on ``python``, the generated
+        ``_mask_of`` on ``codegen``/``numpy``.  A document too deep for
+        the recursive fold gets its verdict by replaying ``payload``
+        through the iterative streaming machine.
+        """
+        try:
             if self._codegen is not None:
                 mask = self._codegen._mask_of(root)
             else:
                 mask = self._element_mask(root)
-        except (ET.ParseError, RecursionError):
-            from repro.streaming.machine import streaming_validator_for
-
-            machine = streaming_validator_for(self, self.engine, backend="python")
-            return machine.validate_payload(payload)
+        except RecursionError:
+            return self._replay(payload)
         return bool(mask & self._finals_mask)
+
+    def _replay(self, payload: Union[bytes, str]) -> bool:
+        from repro.streaming.machine import streaming_validator_for
+
+        machine = streaming_validator_for(self, self.engine, backend="python")
+        return machine.validate_payload(payload)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,11 @@ nodes and peers.
 from __future__ import annotations
 
 import hashlib
+import xml.etree.ElementTree as ET
 from collections import deque
 from collections.abc import Iterable
+from operator import attrgetter
+from typing import Union
 
 from repro.automata.dfa import DFA
 from repro.automata.nfa import EPSILON, NFA
@@ -30,6 +33,8 @@ from repro.trees.document import Tree
 
 #: Number of hex characters kept from the sha256 digest (128 bits).
 _DIGEST_LENGTH = 32
+
+_tag_of = attrgetter("tag")
 
 
 def _digest(parts: Iterable[str]) -> str:
@@ -111,7 +116,7 @@ def dfa_fingerprint(dfa: DFA) -> str:
     return _digest(parts)
 
 
-def tree_fingerprint(tree: Tree) -> str:
+def tree_fingerprint(tree: Union[Tree, ET.Element]) -> str:
     """Content-address a document (an ordered unranked tree).
 
     Two trees share a fingerprint iff they are equal as values (same shape,
@@ -120,28 +125,40 @@ def tree_fingerprint(tree: Tree) -> str:
     as a fresh object (the common case after a round-trip through
     serialisation) and skip revalidating it.
 
+    ``tree`` is a :class:`Tree` or the root of the C parser's element tree,
+    whose tags are the labels: a document parsed from text addresses
+    exactly like the :class:`Tree` built from the same elements, so the
+    runtime can content-address a registration document without building
+    that tree.
+
     The canonical serialisation is ``arities ; label-lengths \\x01 labels``
     over the preorder traversal: the preorder arity sequence determines the
     shape, the length sequence splits the concatenated labels unambiguously
     (whatever characters they contain), and the metadata prefix is pure
     digits/punctuation so the first ``\\x01`` is always the delimiter.  It
     sits on the runtime's per-round hot path, so everything is built with
-    bulk string operations and hashed in one call; the traversal is
+    bulk string operations and hashed in one call; both traversals are
     iterative because documents can be deeper than the recursion limit.
     """
-    labels: list[str] = []
-    arities: list[int] = []
-    stack: list[Tree] = [tree]
-    pop = stack.pop
-    add_label = labels.append
-    add_arity = arities.append
-    while stack:
-        node = pop()
-        add_label(node.label)
-        children = node.children
-        add_arity(len(children))
-        if children:
-            stack.extend(reversed(children))
+    if isinstance(tree, Tree):
+        labels: list[str] = []
+        arities: list[int] = []
+        stack: list[Tree] = [tree]
+        pop = stack.pop
+        add_label = labels.append
+        add_arity = arities.append
+        while stack:
+            node = pop()
+            add_label(node.label)
+            children = node.children
+            add_arity(len(children))
+            if children:
+                stack.extend(reversed(children))
+    else:
+        # Element.iter() walks in document (pre)order with its own stack.
+        elements = list(tree.iter())
+        labels = list(map(_tag_of, elements))
+        arities = list(map(len, elements))
     blob = "%s;%s\x01%s" % (
         ",".join(map(str, arities)),
         ",".join(map(str, map(len, labels))),

@@ -266,7 +266,10 @@ class DirectoryServer(ValidationServer):
             raise OpError("bad-request", "'typing_version' must be an integer")
         raw_trace = body.get("trace")
         trace_id = raw_trace if isinstance(raw_trace, str) and raw_trace else None
-        before = self._last_global.get(design, self._global_verdict_of(design)["valid"])
+        if design in self._last_global:
+            before = self._last_global[design]
+        else:
+            before = self._global_verdict_of(design)["valid"]
         verdicts = self._verdicts.setdefault(design, _DesignVerdicts())
         for function, ack in acks.items():
             current = verdicts.acks.get(function)

@@ -11,6 +11,7 @@ standalone server -- plus the federation duties of a peer:
 * after every state-changing op (register, publish, stream end,
   revalidate) it **pushes** its per-function acknowledgements to the
   directory via ``peer_verdict`` -- inside the op's :meth:`_post_op` hook,
+  or before the ``invalid-xml`` error frame of a malformed publication,
   so by the time the client sees the publish reply the directory's global
   verdict already reflects it;
 * it answers ``pod_state`` with its runtime's exported validation state,
@@ -40,8 +41,14 @@ __all__ = ["PodServer"]
 #: Default heartbeat period (seconds) between lease renewals.
 DEFAULT_LEASE_INTERVAL = 5.0
 
-#: Ops whose successful completion changes the acks the directory holds.
+#: Ops whose completion changes the acks the directory holds (a malformed
+#: publication too: it answers ``invalid-xml`` with the peer's ack False).
 _VERDICT_OPS = frozenset({"publish", "publish_stream_end", "revalidate"})
+
+
+def _trace_of(body: dict) -> Optional[str]:
+    raw_trace = body.get("trace")
+    return raw_trace if isinstance(raw_trace, str) and raw_trace else None
 
 
 class PodServer(ValidationServer):
@@ -119,7 +126,21 @@ class PodServer(ValidationServer):
                 "synced": synced,
                 "directory_errors": self.directory_errors,
             }
-        return await super()._execute(op, body, blob, connection)
+        if op not in _VERDICT_OPS:
+            return await super()._execute(op, body, blob, connection)
+        # Read before the op runs: ``publish_stream_end`` names only its
+        # stream, which the op closes.
+        stream = connection.streams.get(body["stream"]) if op == "publish_stream_end" else None
+        try:
+            return await super()._execute(op, body, blob, connection)
+        except ServiceError as error:
+            # A malformed publication set the peer's ack to False before
+            # it answered ``invalid-xml``: push that too, before the error
+            # frame goes out, so every reply implies the directory has it.
+            if error.code == "invalid-xml":
+                design_id = stream.entry.design_id if stream is not None else body.get("design")
+                await self._push_verdict(design_id, trace_id=_trace_of(body))
+            raise
 
     def _pod_state(self, design_id: str) -> dict:
         entry = self.design(design_id)
@@ -153,9 +174,7 @@ class PodServer(ValidationServer):
         elif op in _VERDICT_OPS:
             design_id = result.get("design") or body.get("design")
             if design_id:
-                raw_trace = body.get("trace")
-                trace_id = raw_trace if isinstance(raw_trace, str) and raw_trace else None
-                await self._push_verdict(design_id, trace_id=trace_id)
+                await self._push_verdict(design_id, trace_id=_trace_of(body))
         elif op == "typing_update":
             await self._sync_directory()
 

@@ -181,10 +181,31 @@ class ContentModel:
         return f"<automaton content model, e.g. {example}>" if word_sample is not None else "∅"
 
 
+#: Engine memo kind of :func:`content_model` for rule text.
+CONTENT_MODEL_KIND = "content-model"
+
+
 def content_model(
     language: LanguageLike, formalism: Formalism | str = Formalism.NRE, names: bool = True
 ) -> ContentModel:
-    """Convenience coercion used by the schema constructors."""
+    """Convenience coercion used by the schema constructors.
+
+    Rule text is parsed once per distinct ``(text, formalism, names)`` on
+    the current :class:`~repro.engine.compilation.CompilationEngine` (memo
+    kind ``content-model``): a perfect typing repeats the global rules in
+    every component, so the schemas of one typing share their content
+    models.  A rule that fails to parse is not memoized and raises on
+    every call.
+    """
     if isinstance(language, ContentModel):
         return language
+    if isinstance(language, str):
+        from repro.engine.compilation import get_default_engine
+
+        formalism = Formalism(formalism)
+        return get_default_engine().memo(
+            CONTENT_MODEL_KIND,
+            (language, formalism.value, names),
+            lambda: ContentModel(language, formalism, names=names),
+        )
     return ContentModel(language, formalism, names=names)

@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Optional
+from typing import IO, Mapping, Optional, Union
 
 from repro.core.kernel import KernelTree
 from repro.core.typing import TreeTyping
@@ -46,7 +46,6 @@ from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
-from repro.trees.xml_io import tree_from_xml
 
 __all__ = ["OpError", "RegisteredDesign", "ValidationServer", "ServiceHandle"]
 
@@ -573,10 +572,22 @@ class ValidationServer:
         design_id: str,
         kernel: KernelTree,
         typing: TreeTyping,
-        documents: Mapping[str, Tree],
+        documents: Mapping[str, Union[Tree, str]],
     ) -> RegisteredDesign:
-        """Compile a design into a runtime (registry untouched, executor-safe)."""
-        document = DistributedDocument(kernel, dict(documents))
+        """Compile a design into a runtime (registry untouched, executor-safe).
+
+        Each document is a :class:`Tree` (:meth:`preload_design`) or, from
+        ``register_design``, the document's text.  A text is seeded through
+        the runtime's bytes path (:meth:`ValidationRuntime.seed`): one
+        parser pass in the peer's shard task gives its verdict and its
+        ``tree:`` fingerprint, and the peer holds a record keeping the
+        text -- no ``Tree`` is built.  A text that is not XML raises
+        :class:`~repro.errors.InvalidXMLError`.
+        """
+        texts = {f: text for f, text in documents.items() if isinstance(text, str)}
+        document = DistributedDocument(
+            kernel, {f: None if f in texts else tree for f, tree in documents.items()}
+        )
         runtime = ValidationRuntime(
             document,
             max_workers=self.runtime_workers,
@@ -586,7 +597,14 @@ class ValidationServer:
         )
         try:
             runtime.propagate_typing(typing)
-            runtime.validate_locally()
+            for function in document.resources:
+                if function in texts:
+                    runtime.seed(function, texts[function])
+            report = runtime.validate_locally()
+            if report.parse_failures:
+                raise InvalidXMLError(
+                    f"initial document for {report.parse_failures[0]!r} is not XML"
+                )
         except BaseException:
             runtime.close()
             raise
@@ -962,6 +980,14 @@ class ValidationServer:
         }
 
     async def _register(self, body: dict) -> dict:
+        """``register_design``: parse the kernel and schemas, seed every peer.
+
+        The documents stay the text they arrived as: :meth:`build_design`
+        seeds each peer from its text (a ``replace`` is the paper's typing
+        change -- every peer re-checks its document against its new local
+        type), so registration builds no ``Tree``.  A document that is
+        not XML answers ``invalid-xml``.
+        """
         design_id = body["design"]
         if not isinstance(design_id, str) or not design_id:
             raise OpError("bad-request", "'design' must be a non-empty string")
@@ -985,17 +1011,13 @@ class ValidationServer:
                         )
                     else:
                         types[function] = parse_dtd_text(schema)
-                docs = {}
-                for function, xml in documents.items():
-                    try:
-                        docs[function] = tree_from_xml(xml)
-                    except InvalidXMLError as error:
-                        raise OpError(
-                            "invalid-xml", f"initial document for {function!r}: {error}"
-                        ) from None
-                return self.build_design(design_id, kernel, TreeTyping(types), docs)
+                if not all(isinstance(text, str) for text in documents.values()):
+                    raise OpError("bad-request", "'documents' must map functions to XML text")
+                return self.build_design(design_id, kernel, TreeTyping(types), documents)
             except OpError:
                 raise
+            except InvalidXMLError as error:
+                raise OpError("invalid-xml", str(error)) from None
             except ReproError as error:
                 raise OpError("bad-request", str(error)) from None
 

@@ -16,7 +16,7 @@ import pytest
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime, state_digest_of
 from repro.federation import DirectoryServer, Federation, PodServer
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.faults import FaultPlan, FaultyTransport
 from repro.service.server import ServiceHandle
 from repro.trees.xml_io import tree_to_xml
@@ -158,6 +158,25 @@ def test_typing_change_keeps_published_documents():
         assert verdict["complete"], verdict
         assert verdict["valid"] is expected
         assert federation.state_digest() == expected_digest
+        assert federation.close()["clean"]
+
+
+@pytest.mark.parametrize("verb", ["publish", "publish_stream"])
+def test_malformed_publication_reaches_the_directory(verb):
+    """A reply implies the directory has its effect -- an ``invalid-xml`` one too."""
+    workload = build_workload(seed=3, invalid_rate=0.0)
+    with Federation(
+        workload.kernel, workload.typing, workload.initial_documents, pods=2, spawn="thread"
+    ) as federation:
+        publish = getattr(federation, verb)
+        assert publish("f1", tree_to_xml(workload.initial_documents["f1"]))["peer_valid"] is True
+        with pytest.raises(ServiceError) as excinfo:
+            publish("f1", "<root_f1><record></root_f1>")
+        assert excinfo.value.code == "invalid-xml"
+        assert federation.peer_acks()["f1"] is False
+        verdict = federation.global_verdict()
+        assert verdict["complete"], verdict
+        assert verdict["acks"]["f1"] is False and verdict["valid"] is False
         assert federation.close()["clean"]
 
 

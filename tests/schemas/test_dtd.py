@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchemaError, UnsupportedFormalismError
+from repro.engine.compilation import CompilationEngine, use_engine
+from repro.errors import RegexSyntaxError, SchemaError, UnsupportedFormalismError
 from repro.schemas.content_model import ContentModel, Formalism
 from repro.schemas.dtd import DTD
 from repro.schemas.dtd_text import parse_dtd_text, parse_rules
@@ -232,3 +233,36 @@ class TestDtdText:
     def test_element_declared_empty(self):
         rules = parse_rules("<!ELEMENT a EMPTY><!ELEMENT b (a*)>")
         assert rules["a"] == "ε"
+
+
+class TestContentModelMemo:
+    """Rule text parses once per engine; the memo is the engine's, not global."""
+
+    def test_dtds_sharing_a_rule_text_share_its_content_model(self):
+        engine = CompilationEngine()
+        with use_engine(engine):
+            first = parse_dtd_text("r1 -> record*\nrecord -> key, field*")
+            second = parse_dtd_text("r2 -> record*\nrecord -> key, field*")
+        assert first.rules["record"] is second.rules["record"]
+        assert first.rules["r1"] is second.rules["r2"]
+        counters = engine.stats.snapshot()["by_kind"]["content-model"]
+        assert (counters["misses"], counters["hits"]) == (2, 2)
+        with use_engine(CompilationEngine()):
+            cold = parse_dtd_text("r1 -> record*\nrecord -> key, field*")
+        assert cold.rules["record"] is not first.rules["record"]
+
+    def test_a_malformed_rule_raises_on_every_call(self):
+        with use_engine(CompilationEngine()):
+            for _ in range(2):
+                with pytest.raises(RegexSyntaxError):
+                    parse_dtd_text("r -> (a, b")
+
+    def test_formalisms_key_apart(self):
+        with use_engine(CompilationEngine()):
+            loose = DTD("r", {"r": "(a, b) | (a, c)"})
+            assert loose.rules["r"].formalism == Formalism.NRE
+            with pytest.raises(UnsupportedFormalismError):
+                DTD("r", {"r": "(a, b) | (a, c)"}, Formalism.DRE)
+            strict = DTD("r", {"r": "a, b"}, Formalism.DRE)
+            assert strict.rules["r"] is not DTD("r", {"r": "a, b"}).rules["r"]
+            assert strict.rules["r"].formalism == Formalism.DRE

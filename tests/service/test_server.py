@@ -8,9 +8,15 @@ import threading
 
 import pytest
 
+from repro.core.typing import TreeTyping
+from repro.distributed.network import DistributedDocument
+from repro.distributed.runtime import ValidationRuntime
+from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.server import ServiceHandle, ValidationServer
+from repro.trees import xml_io
+from repro.trees.document import Tree
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import corrupt_document, distributed_workload
 
@@ -45,6 +51,16 @@ def client(handle):
 
 def payload_of(workload, function: str) -> str:
     return tree_to_xml(workload.initial_documents[function])
+
+
+def register_over_the_wire(client, workload, design: str = "d") -> dict:
+    return client.register_design(
+        design,
+        str(workload.kernel.tree),
+        dict(workload.typing.items()),
+        {f: payload_of(workload, f) for f in workload.initial_documents},
+        replace=True,
+    )
 
 
 def raw_connection(handle):
@@ -136,6 +152,55 @@ class TestRegistration:
             )
         assert excinfo.value.code == "invalid-xml"
 
+    def test_registration_and_publication_build_no_tree(self, client, workload, monkeypatch):
+        def refuse(_element):
+            raise AssertionError("a server path built a Tree")
+
+        monkeypatch.setattr(xml_io, "element_to_tree", refuse)
+        assert register_over_the_wire(client, workload)["valid"] is True
+        bad = tree_to_xml(corrupt_document(workload.initial_documents["f1"]))
+        assert client.publish("d", "f1", bad)["peer_valid"] is False
+        streamed = client.publish_stream("d", "f1", payload_of(workload, "f1"), chunk_bytes=64)
+        assert streamed["peer_valid"] is True and streamed["valid"] is True
+
+    def test_wire_registration_state_equals_the_in_process_runtime(
+        self, handle, client, workload
+    ):
+        register_over_the_wire(client, workload, design="wired")
+        served = handle.server.design("wired").runtime
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=2) as runtime:
+            runtime.propagate_typing(workload.typing)
+            assert runtime.validate_locally().valid is True
+            assert served.peer_acks() == runtime.peer_acks()
+            assert served.state_digest() == runtime.state_digest()
+
+    def test_deeply_nested_registration_document_gets_a_verdict(self, handle, client, workload):
+        # Far deeper than the recursion limit: the verdict comes from the
+        # iterative streaming machine, the fingerprint from the elements.
+        deep = "<root_f1>" + "<r>" * 5000 + "</r>" * 5000 + "</root_f1>"
+        documents = {f: payload_of(workload, f) for f in workload.initial_documents}
+        documents["f1"] = deep
+        result = client.register_design(
+            "deep", str(workload.kernel.tree), dict(workload.typing.items()), documents
+        )
+        assert result["valid"] is False
+        assert handle.server.design("deep").runtime.peer_acks()["f1"] is False
+        assert client.revalidate("deep", force=True)["valid"] is False
+
+    def test_registration_text_is_read_as_text_whatever_it_declares(self, handle, client):
+        # The JSON string is already characters: encoding it to UTF-8 and
+        # honouring the declaration would read the root as "donnÃ©es".
+        text = '<?xml version="1.0" encoding="iso-8859-1"?><données><a/></données>'
+        result = client.register_design("enc", "s0(f1)", {"f1": "données -> a*"}, {"f1": text})
+        assert result["valid"] is True
+        entry = handle.server.design("enc")
+        peer = entry.document.resources["f1"]
+        assert peer.answer() == Tree.node("données", "a")
+        # A typing change re-validates from the kept text.
+        entry.runtime.propagate_typing(TreeTyping({"f1": parse_dtd_text("données -> a, a")}))
+        assert entry.runtime.validate_locally().valid is False
+
 
 class TestPublish:
     def test_round_trip_and_verdicts(self, client, workload):
@@ -147,18 +212,32 @@ class TestPublish:
         repaired = client.publish("d", "f2", payload_of(workload, "f2"))
         assert repaired["valid"] is True and repaired["peer_valid"] is True
 
-    def test_byte_identical_republication_hits_fingerprint_fast_path(self, client, workload):
-        """The acceptance check: zero engine misses for a clean re-publication."""
+    @pytest.mark.parametrize("registration", ["preload", "wire"])
+    def test_byte_identical_republication_hits_fingerprint_fast_path(
+        self, client, workload, registration
+    ):
+        """The acceptance check: zero engine misses for a clean re-publication.
+
+        Registered documents are addressed by structure (``tree:``), not
+        by bytes, so the first publication of the registered bytes is new.
+        """
+        if registration == "wire":
+            register_over_the_wire(client, workload)
         payloads = {f: payload_of(workload, f) for f in workload.initial_documents}
         for function, payload in payloads.items():
             assert client.publish("d", function, payload)["clean"] is False
-        before = client.stats()["designs"]["d"]["engine"]["by_kind"]["batch-validate"]["misses"]
+
+        def tree_memo_misses() -> int:
+            # A design that never folded a Tree has no ``batch-validate`` kind.
+            kinds = client.stats()["designs"]["d"]["engine"]["by_kind"]
+            return kinds.get("batch-validate", {}).get("misses", 0)
+
+        before = tree_memo_misses()
         for function, payload in payloads.items():
             result = client.publish("d", function, payload)
             assert result["clean"] is True
             assert result["peers_validated"] == 0
-        after = client.stats()["designs"]["d"]["engine"]["by_kind"]["batch-validate"]["misses"]
-        assert after - before == 0
+        assert tree_memo_misses() - before == 0
 
     def test_malformed_xml_payload_is_typed_and_connection_survives(self, client):
         with pytest.raises(ServiceError) as excinfo:

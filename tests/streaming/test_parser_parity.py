@@ -19,6 +19,8 @@ from repro.api import dtd, kernel
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
 from repro.engine import BatchValidator
+from repro.engine.batch import parse_payload
+from repro.engine.fingerprint import tree_fingerprint
 from repro.errors import InvalidXMLError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import ServiceHandle, ValidationServer
@@ -87,6 +89,7 @@ PAYLOADS = [
     ("str-chunks", "accent", "<é><c/><c/></é>", True),
 ]
 CASES = [pytest.param(schema, payload, expected, id=name) for name, schema, payload, expected in PAYLOADS]
+WELL_FORMED = [case for case in CASES if case.values[2] != INVALID_XML]
 CHUNKINGS = [pytest.param(None, id="whole"), pytest.param(1, id="1-byte")]
 
 
@@ -145,6 +148,26 @@ def test_runtime_publish_stream(schema, payload, expected, chunk_bytes):
         report = runtime.publish_stream(FUNCTIONS[schema], chunked(payload, chunk_bytes))
     assert report.malformed is (expected == INVALID_XML)
     assert report.valid is (expected is True)
+
+
+@pytest.mark.parametrize("schema, payload, expected", WELL_FORMED)
+def test_element_fingerprint_equals_the_tree_fingerprint(schema, payload, expected):
+    assert tree_fingerprint(parse_payload(payload)) == tree_fingerprint(tree_from_xml(payload))
+
+
+@pytest.mark.parametrize("schema, payload, expected", CASES)
+def test_runtime_seed(schema, payload, expected):
+    """A registration seed: the bytes path's outcome, the tree path's address."""
+    function = FUNCTIONS[schema]
+    with ValidationRuntime(build_document(), backend="serial") as runtime:
+        runtime.propagate_typing(typing())
+        runtime.seed(function, payload)
+        report = runtime.validate_locally()
+        assert (function in report.parse_failures) is (expected == INVALID_XML)
+        assert runtime.peer_acks()[function] is (expected is True)
+        if expected != INVALID_XML:
+            fingerprint = "tree:" + tree_fingerprint(tree_from_xml(payload))
+            assert runtime.export_state()["current_fp"][function] == fingerprint
 
 
 @pytest.fixture(scope="module")
