@@ -127,15 +127,13 @@ def _publication_pairs(peers: int, documents: int):
     return workload, [(f, p.encode("utf-8")) for f, p in publication_stream(workload)]
 
 
-def _scenario_local_validation(peers: int, documents: int, backend: str = "python"):
+def _scenario_local_validation(peers: int, documents: int):
     """The tree-based per-publication path: parse to Tree, validate bottom-up.
 
     The PR 1 "local validation" baseline at wire granularity -- every
     payload arrives as bytes and is parsed before the compiled-schema run
     loop sees it.  The ``peak_kib`` extra records the tree path's peak
     allocation on the stream's largest document (what streaming avoids).
-    ``backend`` selects the validation backend (the ``_codegen`` variants
-    time the generated validators against this interpreted oracle).
     """
     import tracemalloc
 
@@ -143,10 +141,7 @@ def _scenario_local_validation(peers: int, documents: int, backend: str = "pytho
     from repro.trees.xml_io import tree_from_xml
 
     workload, pairs = _publication_pairs(peers, documents)
-    validators = {
-        f: BatchValidator(workload.typing[f], backend=backend)
-        for f in workload.initial_documents
-    }
+    validators = {f: BatchValidator(workload.typing[f]) for f in workload.initial_documents}
     sizes = {"peers": peers, "documents": documents, "publications": len(pairs)}
     _function, largest = max(pairs, key=lambda item: len(item[1]))
     tracemalloc.start()
@@ -163,25 +158,19 @@ def _scenario_local_validation(peers: int, documents: int, backend: str = "pytho
     return run, sizes
 
 
-def _scenario_streaming_validate(peers: int, documents: int, backend: str = "python"):
+def _scenario_streaming_validate(peers: int, documents: int):
     """Event-driven validation of the same stream: wire bytes to verdict.
 
     Extras record the subsystem's memory story next to its wall-clock:
     peak allocation on the largest document (chunk-fed) and the stream's
-    maximum document depth -- the O(depth) bound's two witnesses.  On the
-    ``codegen`` backend the whole-payload path runs the generated
-    per-schema fold instead of the interpreted frame machine (the
-    ``speedup_vs_python`` key is derived in :func:`main`).
+    maximum document depth -- the O(depth) bound's two witnesses.
     """
     import tracemalloc
 
     from repro.streaming import StreamingValidator
 
     workload, pairs = _publication_pairs(peers, documents)
-    machines = {
-        f: StreamingValidator(workload.typing[f], backend=backend)
-        for f in workload.initial_documents
-    }
+    machines = {f: StreamingValidator(workload.typing[f]) for f in workload.initial_documents}
     sizes = {"peers": peers, "documents": documents, "publications": len(pairs)}
     function, largest = max(pairs, key=lambda item: len(item[1]))
     max_depth = 0
@@ -570,14 +559,6 @@ def _scenarios(smoke: bool):
     documents = 24 if smoke else 40
     yield "local_validation_8", _scenario_local_validation(8, documents)
     yield "streaming_validate_8", _scenario_streaming_validate(8, documents)
-    yield (
-        "local_validation_8_codegen",
-        _scenario_local_validation(8, documents, backend="codegen"),
-    )
-    yield (
-        "streaming_validate_8_codegen",
-        _scenario_streaming_validate(8, documents, backend="codegen"),
-    )
     if not smoke:
         yield "streaming_validate_100", _scenario_streaming_validate(100, 110)
     for strategy in ("serial", "runtime"):
@@ -730,15 +711,6 @@ def main(argv=None) -> int:
         speedup = round(tree_path["mean_ms"] / max(streaming["mean_ms"], 1e-6), 2)
         streaming["speedup_vs_tree"] = speedup
         print(f"streaming validation speedup vs tree path (8 peers): {speedup}x")
-    for interpreted_name in ("streaming_validate_8", "local_validation_8"):
-        interpreted = results.get(interpreted_name)
-        generated = results.get(f"{interpreted_name}_codegen")
-        if interpreted and generated:
-            speedup = round(interpreted["mean_ms"] / max(generated["mean_ms"], 1e-6), 2)
-            generated["speedup_vs_python"] = speedup
-            print(
-                f"codegen backend speedup vs python on {interpreted_name}: {speedup}x"
-            )
     payload = {
         "git_sha": _git_sha(),
         "smoke": args.smoke,

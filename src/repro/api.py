@@ -229,9 +229,7 @@ class ExecutionConfig:
       (:class:`~repro.federation.Federation`), each owning a shard of the
       design's functions.
 
-    ``backend`` selects the validation backend (``python`` / ``codegen``
-    / ``numpy``); ``workers``/``shards`` size the runtime; ``pods`` and
-    ``spawn`` (``"thread"`` or ``"process"``) shape the federation; and
+    ``workers``/``shards`` size the runtime; ``pods`` and ``spawn`` (``"thread"`` or ``"process"``) shape the federation; and
     ``server_options`` passes the service tier's overload knobs through
     (``max_queue_depth``, ``rate_limit``, ``stream_ttl``, ...).
 
@@ -241,7 +239,6 @@ class ExecutionConfig:
     """
 
     mode: str = "runtime"
-    backend: Optional[str] = None
     workers: int = 4
     shards: Optional[int] = None
     pods: int = 2
@@ -344,15 +341,12 @@ class DesignSession:
                 DistributedDocument(self.kernel, dict(self.documents)),
                 max_workers=config.workers,
                 shards=config.shards,
-                validation_backend=config.backend,
                 logger=self._logger,
             )
             self._runtime.propagate_typing(self.typing)
         elif config.mode == "service":
             options = dict(config.server_options)
             options.setdefault("runtime_workers", config.workers)
-            if config.backend is not None:
-                options.setdefault("validation_backend", config.backend)
             if config.shards is not None:
                 options.setdefault("runtime_shards", config.shards)
             if config.metrics_port is not None:
@@ -377,7 +371,6 @@ class DesignSession:
                 spawn=config.spawn,
                 host=config.host,
                 workers=config.workers,
-                validation_backend=config.backend,
                 metrics=config.metrics_port is not None,
             )
 
@@ -585,8 +578,8 @@ class DesignSession:
         live :class:`~repro.service.server.ServiceHandle`, which closes the
         server gracefully on ``close()``.  ``server_options`` go to the
         server (``max_frame_bytes``, ``max_batch``, ``runtime_workers``,
-        ``validation_backend``, the overload tier's ``max_queue_depth``,
-        ``rate_limit``, ``stream_ttl``, ...).
+        the overload tier's ``max_queue_depth``, ``rate_limit``,
+        ``stream_ttl``, ...).
         """
         if not isinstance(typing, TreeTyping):
             typing = TreeTyping(typing)
@@ -608,7 +601,6 @@ class DesignSession:
         fields: int = 6,
         strategies: tuple[str, ...] = ("serial", "runtime"),
         backend: str = "thread",
-        validation_backend: Optional[str] = None,
     ) -> WorkloadReport:
         """Replay a synthetic workload and compare execution strategies.
 
@@ -616,11 +608,8 @@ class DesignSession:
         of ``documents`` publications over ``peers`` peers and replays it
         through the requested ``strategies`` (any of ``"serial"``,
         ``"runtime"``, ``"centralized"``) with a
-        :class:`~repro.distributed.runtime.WorkloadDriver`.
-        ``validation_backend`` selects how the runtime strategies validate
-        and ``backend`` names the scheduler; the ``serial`` strategy always
-        uses the interpreted kernel, so the report's ``verdicts_agree``
-        doubles as a cross-backend differential.
+        :class:`~repro.distributed.runtime.WorkloadDriver`; ``backend``
+        names the runtime's scheduler (``"thread"`` or ``"serial"``).
 
         >>> report = DesignSession.run_workload(peers=4, documents=12, workers=2)
         >>> report.verdicts_agree
@@ -639,7 +628,6 @@ class DesignSession:
             max_workers=workers,
             shards=shards,
             backend=backend,
-            validation_backend=validation_backend,
         )
         return driver.run(strategies)
 
@@ -649,7 +637,6 @@ class DesignSession:
         payload,
         engine: Optional[CompilationEngine] = None,
         chunk_bytes: int = 65536,
-        backend: Optional[str] = None,
     ) -> bool:
         """Validate serialised XML against a schema without building a tree.
 
@@ -658,14 +645,13 @@ class DesignSession:
         iterable of chunks, and the verdict matches the tree-based path
         for every schema kind while working memory stays O(document
         depth).  Malformed input raises
-        :class:`~repro.errors.InvalidXMLError`.  The non-``python``
-        backends trade the O(depth) memory bound for speed.
+        :class:`~repro.errors.InvalidXMLError`.
 
         >>> from repro import dtd
         >>> DesignSession.stream_validate(dtd("r", {"r": "a*"}), "<r><a/></r>")
         True
         """
-        validator = streaming_validator_for(schema, engine, backend=backend)
+        validator = streaming_validator_for(schema, engine)
         if isinstance(payload, (str, bytes)):
             return validator.validate_payload(payload, chunk_bytes)
         return validator.validate_chunks(payload)

@@ -85,7 +85,6 @@ class CompactNFA:
         "_reach",
         "_coreach",
         "initial_mask",
-        "union_rows",
     )
 
     def __init__(self, nfa: NFA, symbols: Optional[Iterable[Symbol]] = None) -> None:
@@ -160,14 +159,6 @@ class CompactNFA:
         self.initial = index_of[nfa.initial]
         self.initial_closed = closures[self.initial]
         self.initial_mask = 1 << self.initial
-        #: Bounded cache of dense union rows: ``child_mask -> tuple`` where
-        #: entry ``q`` is ``Δ(closure(q), child_mask)`` -- the union of the
-        #: pre-closure successor rows of every symbol in the mask.  Filled
-        #: lazily by :meth:`CompiledSchema._horizontal_accepts
-        #: <repro.engine.batch.CompiledSchema._horizontal_accepts>`; the
-        #: same child-state symbol sets recur constantly across sibling
-        #: words, so one dict probe replaces the inner symbol scan.
-        self.union_rows: dict = {}
         finals_raw = 0
         for state in nfa.finals:
             finals_raw |= 1 << index_of[state]

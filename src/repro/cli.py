@@ -63,7 +63,6 @@ from typing import Optional, Sequence
 
 from repro.api import analyze_design, bottom_up_design, kernel, top_down_design
 from repro.engine import CompilationEngine, use_engine
-from repro.engine.backends import BACKENDS
 from repro.errors import ReproError
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.trees.term import parse_term
@@ -110,17 +109,6 @@ def _add_stats_argument(parser: argparse.ArgumentParser) -> None:
         "--stats",
         action="store_true",
         help="print the compilation-engine cache statistics (hit rates) after the run",
-    )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="validation backend (default: $REPRO_BACKEND, else the interpreted "
-        "'python' oracle; 'codegen' compiles a per-schema validator, 'numpy' "
-        "vectorizes many-documents-one-schema batches)",
     )
 
 
@@ -197,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--chunk-bytes", type=int, default=65536, help="chunk size of the streaming feed"
     )
-    _add_backend_argument(validate)
     _add_stats_argument(validate)
     _add_json_argument(validate, "the verdict")
 
@@ -231,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also replay the centralized ship-everything strategy",
     )
-    _add_backend_argument(distributed)
     distributed.add_argument(
         "--json", action="store_true", help="emit the report as machine-readable JSON"
     )
@@ -312,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-register a synthetic N-peer record workload as design 'workload'",
     )
     serve.add_argument("--preload-seed", type=int, default=0, help="seed of the preloaded workload")
-    _add_backend_argument(serve)
     _add_metrics_port_argument(serve)
     serve.add_argument(
         "--json", action="store_true", help="announce the endpoint as one JSON line"
@@ -340,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-bytes", type=int, default=65536, help="chunk size of the streaming feed"
     )
     bench_stream.add_argument("--rounds", type=int, default=5, help="timed rounds per path")
-    _add_backend_argument(bench_stream)
     bench_stream.add_argument(
         "--json", action="store_true", help="emit the comparison as machine-readable JSON"
     )
@@ -390,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument(
         "--retry-seed", type=int, default=0, help="seed of the retry policy's jitter"
     )
-    _add_backend_argument(bench_serve)
     bench_serve.add_argument(
         "--json", action="store_true", help="emit the load report as machine-readable JSON"
     )
@@ -457,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shut down after this many seconds (otherwise serve until a shutdown request)",
     )
     pod.add_argument("--workers", type=int, default=2, help="runtime thread-pool size per design")
-    _add_backend_argument(pod)
     _add_metrics_port_argument(pod)
     _add_json_argument(pod, "the endpoint announcement")
 
@@ -557,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--invalid-rate", type=float, default=0.25, help="probability of a corrupt publication"
     )
     federate.add_argument("--workers", type=int, default=2, help="runtime thread-pool size per pod")
-    _add_backend_argument(federate)
     _add_json_argument(federate, "the federation report")
 
     return parser
@@ -639,7 +620,7 @@ def _run_validate(args: argparse.Namespace) -> int:
         payload = _xml_payload(Path(args.document).read_bytes())
         if payload is None:
             raise ReproError("--stream validates raw XML; the document is not XML")
-        validator = streaming_validator_for(schema, backend=args.backend)
+        validator = streaming_validator_for(schema)
         valid = validator.validate_payload(payload, args.chunk_bytes)
         mode = "stream"
     else:
@@ -647,7 +628,7 @@ def _run_validate(args: argparse.Namespace) -> int:
         # Membership runs on the compiled schema (so --stats is meaningful and
         # repeated validations share the compilation); the uncompiled path is
         # only consulted for the human-readable explanation of a failure.
-        valid = BatchValidator(schema, backend=args.backend).validate(document)
+        valid = BatchValidator(schema).validate(document)
         if not valid:
             error = str(schema.validation_error(document))
         mode = "tree"
@@ -678,7 +659,6 @@ def _run_distributed(args: argparse.Namespace) -> int:
         records=args.records,
         fields=args.fields,
         strategies=tuple(strategies),
-        validation_backend=args.backend,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -767,7 +747,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch if args.max_batch is not None else DEFAULT_MAX_BATCH,
         batch_window=args.batch_window,
         runtime_workers=args.workers,
-        validation_backend=args.backend,
         metrics_port=args.metrics_port,
         **overload_options,
     )
@@ -821,7 +800,6 @@ def _run_pod(args: argparse.Namespace) -> int:
         directory_port=directory_port,
         lease_interval=args.lease_interval,
         runtime_workers=args.workers,
-        validation_backend=args.backend,
         metrics_port=args.metrics_port,
     )
     return _serve_until_shutdown(
@@ -1044,7 +1022,6 @@ def _run_federate(args: argparse.Namespace) -> int:
     reference = ValidationRuntime(
         DistributedDocument(workload.kernel, dict(workload.initial_documents)),
         max_workers=args.workers,
-        validation_backend=args.backend,
     )
     reference.propagate_typing(workload.typing)
     publications = list(publication_stream(workload))
@@ -1056,7 +1033,6 @@ def _run_federate(args: argparse.Namespace) -> int:
         pods=args.pods,
         spawn=args.spawn,
         workers=args.workers,
-        validation_backend=args.backend,
     ) as federation:
         for function, payload in publications:
             federation.publish(function, payload)
@@ -1134,10 +1110,7 @@ def _run_bench_stream(args: argparse.Namespace) -> int:
     # replay: every peer re-publishes each round, one peer changes content.
     publications = [(f, p.encode("utf-8")) for f, p in publication_stream(workload)]
     batch = {f: BatchValidator(workload.typing[f]) for f in workload.initial_documents}
-    stream = {
-        f: streaming_validator_for(workload.typing[f], backend=args.backend)
-        for f in workload.initial_documents
-    }
+    stream = {f: streaming_validator_for(workload.typing[f]) for f in workload.initial_documents}
 
     def tree_pass() -> list[bool]:
         return [batch[f].validate(tree_from_xml(p)) for f, p in publications]
@@ -1168,7 +1141,6 @@ def _run_bench_stream(args: argparse.Namespace) -> int:
     function, largest = max(publications, key=lambda item: len(item[1]))
     tree_ms, stream_ms = best_ms(tree_pass), best_ms(stream_pass)
     comparison = {
-        "backend": next(iter(stream.values())).backend,
         "publications": len(publications),
         "payload_bytes_total": sum(len(p) for _f, p in publications),
         "chunk_bytes": args.chunk_bytes,
@@ -1216,7 +1188,7 @@ def _run_bench_serve(args: argparse.Namespace) -> int:
     if args.max_queue_depth is not None:
         server_options["max_queue_depth"] = args.max_queue_depth
     server = ValidationServer(
-        runtime_workers=args.workers, validation_backend=args.backend, **server_options
+        runtime_workers=args.workers, **server_options
     )
     retry = None
     if args.retry_attempts is not None:

@@ -171,7 +171,8 @@ class ResourcePeer(Peer):
         Returns the record's ``(fingerprint, ack)``.  No tree is built:
         one C-parser pass, then the validator's fold over the parsed
         elements.  A wire publication comes with its ``fingerprint`` (the
-        digest of its bytes) and is kept as those bytes.  A registration
+        digest of its bytes) and is kept as given: a ``str`` is parsed as
+        the characters it is, whatever encoding it declares.  A registration
         document comes with none: its text is parsed and kept as text,
         and the record is addressed by the document's structure -- ``tree:``
         plus :func:`~repro.engine.fingerprint.tree_fingerprint` over the
@@ -190,8 +191,6 @@ class ResourcePeer(Peer):
             fingerprint = "tree:" + tree_fingerprint(root)
             ack = self.validator.compiled.accepts_element(root, payload)
         else:
-            if isinstance(payload, str):
-                payload = payload.encode("utf-8")
             ack = self.validator.validate_payload(payload)
         size = len(payload.encode("utf-8")) if isinstance(payload, str) else len(payload)
         self.document = PublicationRecord(fingerprint, ack, self.validator, size, payload)

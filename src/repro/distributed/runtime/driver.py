@@ -142,18 +142,12 @@ class WorkloadDriver:
         shards: Optional[int] = None,
         backend: str = "thread",
         stream_chunk_bytes: int = 65536,
-        validation_backend: Optional[str] = None,
     ) -> None:
         self.workload = workload
         self.max_workers = max_workers
         self.shards = shards
         self.backend = backend
         self.stream_chunk_bytes = stream_chunk_bytes
-        #: Validator backend for the runtime strategies (``backend`` names
-        #: the scheduler).  The ``serial`` strategy always validates with
-        #: the interpreted kernel, so running serial alongside runtime
-        #: doubles as a cross-backend differential (``verdicts_agree``).
-        self.validation_backend = validation_backend
 
     # ------------------------------------------------------------------ #
     # strategy replays
@@ -218,7 +212,6 @@ class WorkloadDriver:
             max_workers=self.max_workers,
             shards=self.shards,
             backend=self.backend,
-            validation_backend=self.validation_backend,
         ) as runtime:
             runtime.propagate_typing(self.workload.typing)
             base = document.network.snapshot()
@@ -243,7 +236,6 @@ class WorkloadDriver:
             max_workers=self.max_workers,
             shards=self.shards,
             backend=self.backend,
-            validation_backend=self.validation_backend,
         ) as runtime:
             runtime.propagate_typing(self.workload.typing)
             base = document.network.snapshot()

@@ -25,7 +25,7 @@
   validated from its bytes inside the shard task, off the coordinator
   (:meth:`BatchValidator.validate_payload
   <repro.engine.batch.BatchValidator.validate_payload>`: one C-parser
-  pass and the backend's fold) -- no :class:`~repro.trees.document.Tree`
+  pass and the element fold) -- no :class:`~repro.trees.document.Tree`
   is built.  The peer then holds a content-addressed
   :class:`~repro.distributed.peer.PublicationRecord` retaining the
   payload bytes, so a typing change re-validates from them.
@@ -37,12 +37,19 @@
   :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*:
   each chunk is hashed and handed to the peer's
   :class:`~repro.streaming.machine.StreamingRun`, whose expat callbacks
-  step the DFA frames as elements start and end -- one pass, no element
-  objects, so working memory is O(document depth) and the verdict settles
-  at ingest time (no validation round).  The peer's
+  step the schema's label states as elements start and end -- one pass,
+  no element objects, so working memory is O(document depth) and the
+  verdict settles at ingest time (no validation round).  The peer's
   :class:`~repro.distributed.peer.PublicationRecord` keeps no bytes, so
-  after a typing change a streamed publication must be re-published.  Streamed and whole-frame publications dedupe against
-  each other because both address the same payload bytes.
+  after a typing change a streamed publication must be re-published.
+  Streamed and whole-frame publications dedupe against each other
+  because both address the same payload bytes.  A publication given as
+  ``str`` is parsed as the characters it is, whatever encoding it
+  declares, and addressed by its UTF-8 encoding.
+* **Malformed publications** -- a latest publication that does not parse
+  is an invalid one: the peer keeps its previous document, but its ack
+  stays ``False`` and its fingerprint stays the malformed bytes' under
+  every typing, until the peer publishes again.
 * **Cost/statistics accounting** -- a :class:`RuntimeReport` extends the
   serial :class:`~repro.distributed.network.ValidationReport` with how many
   peers actually revalidated, and :class:`RuntimeStats` accumulates the
@@ -64,7 +71,7 @@ from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime.scheduler import ShardScheduler
 from repro.distributed.runtime.sharding import ShardMap
 from repro.engine.batch import BatchValidator
-from repro.engine.compilation import CompilationEngine
+from repro.engine.compilation import CompilationEngine, use_engine
 from repro.engine.fingerprint import (
     payload_fingerprint,
     payload_hasher,
@@ -257,7 +264,11 @@ class StreamIngest:
         self._run.abort()
 
     def feed(self, chunk: str | bytes) -> None:
-        """Hash and validate one chunk (malformed input flips to hash-only)."""
+        """Hash and validate one chunk (malformed input flips to hash-only).
+
+        A ``str`` chunk is hashed as its UTF-8 encoding and parsed as the
+        characters it is.
+        """
         if self._finished:
             raise DesignError("this streamed publication is already settled")
         data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
@@ -265,7 +276,7 @@ class StreamIngest:
         self._payload_bytes += len(data)
         if not self._malformed:
             try:
-                self._run.feed(data)
+                self._run.feed(chunk)
             except InvalidXMLError:
                 # Keep hashing (the content address must cover the whole
                 # payload so re-publishing the same bad bytes clean-skips);
@@ -327,8 +338,10 @@ class StreamIngest:
             # An unparseable publication is an invalid one; the peer keeps
             # whatever it held before, like the whole-frame wire path.
             validator = peer.validator
+            runtime._malformed_latest.add(function)
         else:
             peer.update_document(PublicationRecord(fingerprint, ack, validator, self._payload_bytes))
+            runtime._malformed_latest.discard(function)
         # A streamed publication supersedes any queued whole-payload one.
         runtime._pending_payloads.pop(function, None)
         runtime._current_fp[function] = fingerprint
@@ -370,16 +383,11 @@ class ValidationRuntime:
     backend:
         ``"thread"`` (default) or ``"serial"`` (inline execution, used by
         the differential tests).
-    validation_backend:
-        The *validation* backend every peer validator compiles with
-        (``python`` / ``codegen`` / ``numpy``; see
-        :mod:`repro.engine.backends`) -- distinct from ``backend``, which
-        names the scheduler.  Resolved eagerly (argument >
-        ``$REPRO_BACKEND`` > ``python``) so an unavailable backend fails
-        at construction.  ``publish`` validates through it; the streamed
-        ingest of ``publish_stream`` always steps the interpreted O(depth)
-        machine from its expat callbacks, chunk by chunk, inheriting only
-        the memoized compiled schema.
+
+    Every peer validates through one :class:`CompiledSchema
+    <repro.engine.batch.CompiledSchema>` per local type: ``publish`` folds
+    the parsed payload, ``publish_stream`` steps the same label states
+    from its expat callbacks, chunk by chunk, in O(depth) memory.
     """
 
     def __init__(
@@ -388,14 +396,10 @@ class ValidationRuntime:
         max_workers: Optional[int] = None,
         shards: Optional[int] = None,
         backend: str = "thread",
-        validation_backend: Optional[str] = None,
         logger=None,
     ) -> None:
-        from repro.engine.backends import resolve_backend
-
         self.document = document
         self.network = document.network
-        self.validation_backend = resolve_backend(validation_backend)
         #: Optional :class:`repro.observability.LogRecorder`.  Trace ids
         #: ride with publications (``_pending_traces``), so the shard task
         #: that eventually validates a payload can stamp its settle event
@@ -428,6 +432,10 @@ class ValidationRuntime:
         #: function -> trace id of the publication that queued the pending
         #: payload (drained alongside ``_pending_payloads`` by the round).
         self._pending_traces: dict[str, str] = {}
+        #: Functions whose latest publication did not parse.  Such a peer
+        #: keeps its previous document, but it answers ``False`` under
+        #: every typing (no re-validation) until it publishes again.
+        self._malformed_latest: set[str] = set()
         #: function -> the Tree object the current fingerprint was computed
         #: for.  A fingerprint is only trusted while the peer still holds
         #: that exact object, so updates applied behind the runtime's back
@@ -445,14 +453,19 @@ class ValidationRuntime:
         self.typing_version = 0
 
     # ------------------------------------------------------------------ #
-    # typing propagation (parallel compilation, one engine per shard)
+    # typing propagation (serial compilation, one engine)
     # ------------------------------------------------------------------ #
 
     def propagate_typing(self, typing: TreeTyping) -> None:
-        """Install a typing: compile each shard's local types in parallel.
+        """Install a typing: compile every local type, then hand it to its peer.
 
-        Every cached acknowledgement is invalidated -- an ack is only
-        meaningful against the type it was computed for.
+        Compilation is Python under the GIL, so the shard pool would only
+        add dispatch and split the compilation memo across engines: every
+        local type compiles in the calling thread on the first shard's
+        engine (which :meth:`engine_stats` counts with the others), and
+        the shards validate with the compiled validators.  Every cached
+        acknowledgement is invalidated -- an ack is only meaningful
+        against the type it was computed for.
         """
         with self._state_lock:
             self._propagate_typing_locked(typing)
@@ -462,28 +475,22 @@ class ValidationRuntime:
         if missing:
             raise DesignError(f"the typing has no component for {missing[0]!r}")
 
-        def compile_shard(shard: int, engine: CompilationEngine):
-            return [
-                (
-                    function,
-                    BatchValidator(
-                        typing[function], engine=engine, backend=self.validation_backend
-                    ),
-                )
-                for function in self.shard_map.members(shard)
-            ]
-
-        for compiled in self.scheduler.map_shards(compile_shard):
-            for function, validator in compiled:
-                peer = self.document.resources[function]
-                peer.assign_type(typing[function], validator)
-                self.network.send_control(
-                    self.document.coordinator.name,
-                    peer.name,
-                    "propagate-type",
-                    f"local type for {function}",
-                    extra_bytes=typing[function].size,
-                )
+        engine = self.scheduler.engines[0]
+        with use_engine(engine):
+            validators = {
+                function: BatchValidator(typing[function], engine=engine)
+                for function in self.document.resources
+            }
+        for function, validator in validators.items():
+            peer = self.document.resources[function]
+            peer.assign_type(typing[function], validator)
+            self.network.send_control(
+                self.document.coordinator.name,
+                peer.name,
+                "propagate-type",
+                f"local type for {function}",
+                extra_bytes=typing[function].size,
+            )
         self._acks.clear()
         self._validated_fp.clear()
         self._ack_validator.clear()
@@ -506,6 +513,7 @@ class ValidationRuntime:
             self.document.resources[function].update_document(document)
             self._pending_payloads.pop(function, None)
             self._pending_traces.pop(function, None)
+            self._malformed_latest.discard(function)
             self._current_fp[function] = None
 
     def publish(self, function: str, payload: str | bytes, trace_id: Optional[str] = None) -> bool:
@@ -519,8 +527,11 @@ class ValidationRuntime:
         from its bytes inside the peer's shard task (no ``Tree`` is
         built) and the peer holds a
         :class:`~repro.distributed.peer.PublicationRecord` retaining them.
-        A payload that fails to parse counts as an invalid publication
-        (the peer acknowledges ``False``; its previous document is kept).
+        A payload that fails to parse counts as an invalid publication:
+        the peer acknowledges ``False`` and keeps its previous document,
+        and it keeps answering ``False``, under any typing, until it
+        publishes again.  A ``str`` payload is parsed as the characters it
+        is and addressed by its UTF-8 encoding.
 
         Returns ``True`` when the publication was clean (dropped unparsed).
         """
@@ -623,8 +634,7 @@ class ValidationRuntime:
         if self.logger is not None:
             self.logger.log_flat(
                 "warning" if report.malformed else "info", "stream.settle", trace_id,
-                "function", report.function, "backend", self.validation_backend,
-                "peer_valid", report.valid, "bytes", report.payload_bytes,
+                "function", report.function, "peer_valid", report.valid, "bytes", report.payload_bytes,
                 "malformed", report.malformed,
                 "ms", round(1000 * (time.perf_counter() - started), 3),
             )
@@ -729,6 +739,17 @@ class ValidationRuntime:
                         continue
                     outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))
                     continue
+                if (
+                    function in self._malformed_latest
+                    and peer.document is self._fp_document.get(function)
+                ):
+                    # The latest publication did not parse: it stays
+                    # invalid, whatever the typing -- the kept previous
+                    # document is not what the peer last published.
+                    outcomes.append(
+                        _PeerOutcome(function, self._current_fp[function], False, True, False)
+                    )
+                    continue
                 fingerprint = self._current_fp[function]
                 fingerprinted = (
                     fingerprint is None or peer.document is not self._fp_document.get(function)
@@ -755,8 +776,8 @@ class ValidationRuntime:
                         self.logger.log_flat(
                             "info", "shard.settle", trace_id,
                             "shard", shard, "function", outcome.function,
-                            "backend", self.validation_backend, "ack", outcome.ack,
-                            "validated", outcome.validated, "ms", shard_ms,
+                            "ack", outcome.ack, "validated", outcome.validated,
+                            "ms", shard_ms,
                         )
             return outcomes
 
@@ -778,6 +799,11 @@ class ValidationRuntime:
                 handled.add(outcome.function)
                 if outcome.malformed:
                     parse_failures.append(outcome.function)
+                    self._malformed_latest.add(outcome.function)
+                elif outcome.function in payloads or outcome.fingerprinted:
+                    # A new publication parsed, or the document changed
+                    # behind the runtime's back: the malformed one is past.
+                    self._malformed_latest.discard(outcome.function)
                 self._current_fp[outcome.function] = outcome.fingerprint
                 self._fp_document[outcome.function] = self.document.resources[
                     outcome.function

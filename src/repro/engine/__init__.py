@@ -16,11 +16,9 @@ compilation seam instead:
   memoizes the full NFA → ε-free → DFA → minimal-DFA pipeline plus pairwise
   inclusion / equivalence verdicts (string *and* tree languages);
 * :mod:`repro.engine.batch` compiles a schema once and validates many
-  documents against it in a single pass (:class:`BatchValidator`);
-* :mod:`repro.engine.backends` is the pluggable validation-backend
-  registry (``python`` / ``codegen`` / ``numpy``) and
-  :mod:`repro.engine.codegen` the per-schema code generator behind the
-  non-interpreted backends.
+  documents against it (:class:`BatchValidator`): one memoized fold over
+  lazily determinized label automata, shared by Trees, parsed payloads
+  and streams.
 
 A process-wide default engine is installed at import time; the layers above
 (:mod:`repro.schemas.content_model`, :mod:`repro.automata.equivalence`,
@@ -32,9 +30,7 @@ route through it unless an explicit engine is injected (see
 
 from __future__ import annotations
 
-from repro.engine.backends import BACKENDS, available_backends, resolve_backend
 from repro.engine.batch import BatchReport, BatchValidator, CompiledSchema
-from repro.engine.codegen import CodegenValidator, codegen_validator_for
 from repro.engine.cache import CacheStats, LRUCache
 from repro.engine.compilation import (
     CompilationEngine,
@@ -53,22 +49,17 @@ from repro.engine.fingerprint import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchReport",
     "BatchValidator",
     "CacheStats",
-    "CodegenValidator",
     "CompilationEngine",
     "CompiledSchema",
     "LRUCache",
     "alphabet_key",
-    "available_backends",
-    "codegen_validator_for",
     "dfa_fingerprint",
     "get_default_engine",
     "nfa_fingerprint",
     "payload_fingerprint",
-    "resolve_backend",
     "reset_default_engine",
     "set_default_engine",
     "tree_fingerprint",

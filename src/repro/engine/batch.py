@@ -6,21 +6,31 @@ The seed's ``schema.validate(tree)`` rebuilt the unranked tree automaton
 performs that work once: the tree automaton is built a single time, its
 horizontal NFAs are lifted to the integer/bitset kernel through the
 :class:`~repro.engine.compilation.CompilationEngine` (so peers whose local
-types share content models share the compiled automata too), and the
-bottom-up run loop works entirely on bitmasks -- a node's set of assignable
-states is one ``int``, and each horizontal step is an OR over per-symbol
-successor arrays, with no epsilon closures and no set objects.
+types share content models share the compiled automata too), and a node's
+set of assignable states is one ``int``.
+
+The bottom-up run is one memoized fold.  At a node labelled ``l`` only
+the rules ``(state, l)`` can fire, and the node's children are read left
+to right by every such rule's horizontal automaton at once; a
+:class:`LabelState` is that tuple of per-rule current state sets, i.e. one
+state of ``l``'s horizontal automata determinized together.  States are
+built lazily -- the subset construction runs only for the child masks
+documents actually contain -- interned per schema, and each carries its
+close mask (the states assignable if the element ended here) and a dict
+of memoized successors keyed by child mask.  After warm-up a child costs
+one dict probe, whichever driver steps the states: the Tree fold
+(:meth:`CompiledSchema.accepts`), the element fold over the C parser's
+output (:meth:`CompiledSchema.accepts_element`), or the expat callbacks of
+:class:`~repro.streaming.machine.StreamingRun`.
 
 :class:`BatchValidator` is the user-facing wrapper: it validates one
 document, a batch of documents in a single pass, or produces a
 :class:`BatchReport` for monitoring.  Its bytes entry
 (:meth:`BatchValidator.validate_payload`) takes serialised XML straight
-to a verdict: one C-parser pass (:func:`parse_payload`), then the same
-bottom-up fold over the parser's elements
-(:meth:`CompiledSchema.accepts_element`), with no :class:`Tree` built and
-nothing memoized.  The two steps are public so that a caller can use one
-parse twice: the runtime also fingerprints a registration document's
-elements.
+to a verdict: one C-parser pass (:func:`parse_payload`), then the element
+fold, with no :class:`Tree` built and nothing memoized per document.  The
+two steps are public so that a caller can use one parse twice: the
+runtime also fingerprints a registration document's elements.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from repro.automata.kernel.compact import CompactNFA, iter_bits
 from repro.trees.automata import UnrankedTreeAutomaton
@@ -37,8 +47,10 @@ from repro.trees.document import Tree
 #: Bound on the per-schema memo of already-validated document objects.
 _DOCUMENT_MEMO_CAPACITY = 512
 
-#: Bound on each automaton's dense union-row cache (distinct child masks).
-_UNION_ROW_CAPACITY = 4096
+#: ``engine_stats`` kind of the label automata: ``misses`` counts computed
+#: steps, ``evictions`` counts dropped tables (no hits are counted: a hit
+#: is the hot path, one dict probe).
+LABEL_DFA_KIND = "label-dfa"
 
 
 def parse_payload(payload: Union[bytes, str]) -> ET.Element:
@@ -54,25 +66,25 @@ def parse_payload(payload: Union[bytes, str]) -> ET.Element:
     return parser.close()
 
 
-def _union_row(compiled: CompactNFA, child_mask: int) -> list[int]:
-    """The dense successor row of a child symbol-set: entry ``q`` is
-    ``Δ(closure(q), child_mask)``.  Single-symbol masks (the overwhelming
-    DTD case) alias the automaton's own delta row -- no copy."""
-    delta = compiled.delta
-    low = child_mask & -child_mask
-    if low == child_mask:
-        return delta[low.bit_length() - 1]
-    row = list(delta[low.bit_length() - 1])
-    symbols_left = child_mask ^ low
-    while symbols_left:
-        low = symbols_left & -symbols_left
-        symbols_left ^= low
-        extra = delta[low.bit_length() - 1]
-        for index in range(len(row)):
-            value = extra[index]
-            if value:
-                row[index] |= value
-    return row
+class LabelState:
+    """One state of a label's lazily determinized horizontal automata.
+
+    ``currents`` holds, per rule ``(state, label)`` of the schema, the
+    current state set of that rule's horizontal NFA (a bitmask), after the
+    children read so far.  ``close`` is the element's mask if it ended
+    here: the bits of the rules whose current set is accepting.  ``next``
+    memoizes successors by child mask; a dead successor (every rule's set
+    empty) is stored as ``0``, so a lookup reads ``None`` for a miss and
+    something falsy for a rejection.
+    """
+
+    __slots__ = ("label", "currents", "close", "next")
+
+    def __init__(self, label: str, currents: tuple, close: int) -> None:
+        self.label = label
+        self.currents = currents
+        self.close = close
+        self.next: dict = {}
 
 
 class CompiledSchema:
@@ -87,23 +99,27 @@ class CompiledSchema:
         The compilation engine used to epsilon-free the horizontal automata;
         defaults to the process-wide engine, so structurally identical
         content models compile once across all schemas and peers.
-    backend:
-        Validation backend name (``python`` / ``codegen`` / ``numpy``),
-        resolved through :func:`~repro.engine.backends.resolve_backend`
-        (explicit argument > ``$REPRO_BACKEND`` > ``python``).  The
-        non-``python`` backends attach a generated validator
-        (:mod:`repro.engine.codegen`) that :meth:`accepts` routes through;
-        verdicts are bit-identical to the interpreted kernel.
+
+    The label automata are shared, without locks, by every thread that
+    validates against this schema (shard workers, executor threads feeding
+    streams).  Their tables are filled with single dict operations, which
+    the GIL makes atomic, and are bounded: at most :attr:`state_capacity`
+    interned states and :attr:`transition_capacity` successors per state.
+    A full table is dropped and refilled on demand, counted as an eviction
+    under the ``label-dfa`` kind of ``engine_stats``.
     """
 
-    def __init__(self, schema, engine=None, backend=None) -> None:
-        from repro.engine.backends import resolve_backend
+    #: Bound on the interned (non-initial) label states of one schema.
+    state_capacity = 4096
+    #: Bound on the memoized successors of one label state.
+    transition_capacity = 256
+
+    def __init__(self, schema, engine=None) -> None:
         from repro.engine.compilation import SCHEMA_TO_UTA_KIND, get_default_engine
         from repro.engine.fingerprint import alphabet_key
 
         self.engine = engine if engine is not None else get_default_engine()
         self.schema = schema
-        self.backend = resolve_backend(backend)
         if isinstance(schema, UnrankedTreeAutomaton):
             uta = schema
         else:
@@ -116,129 +132,155 @@ class CompiledSchema:
         # the symbols every horizontal automaton reads, so a node's set of
         # assignable states *is* the child-symbol bitmask of its parent.
         self._state_order: tuple = tuple(sorted(uta.states, key=repr))
-        self._state_bit = {state: 1 << i for i, state in enumerate(self._state_order)}
+        state_bit = {state: 1 << i for i, state in enumerate(self._state_order)}
         self._finals_mask = 0
         for state in uta.finals:
-            self._finals_mask |= self._state_bit[state]
+            self._finals_mask |= state_bit[state]
         shared_alphabet = alphabet_key(map(repr, self._state_order))
         # Rules grouped by label: at a node labelled `l` only the (state, l)
-        # horizontal automata can fire, so the bottom-up pass never scans the
-        # full state set the way the seed's UTA membership did.  Each rule's
-        # horizontal NFA is lifted to the kernel once, memoized by content
-        # fingerprint, so peers whose local types share content models share
-        # the compiled automata too.
-        self._rules_by_label: dict[str, list[tuple[int, CompactNFA]]] = {}
+        # horizontal automata can fire.  Each rule's horizontal NFA is
+        # lifted to the kernel once, memoized by content fingerprint, so
+        # peers whose local types share content models share the compiled
+        # automata too.
+        rules: dict[str, list] = {}
         for (state, label), nfa in uta.horizontal.items():
             compiled = self.engine.memo(
                 "compact-horizontal",
                 (self.engine.fingerprint(nfa), shared_alphabet),
                 lambda nfa=nfa: CompactNFA(nfa, self._state_order),
             )
-            self._rules_by_label.setdefault(label, []).append(
-                (self._state_bit[state], compiled)
-            )
-        self._document_memo: OrderedDict[int, tuple[Tree, frozenset]] = OrderedDict()
-        #: Union-row cache counters (plain int adds on the kernel hot path;
-        #: surfaced in ``engine_stats`` under the ``union-row`` kind).
-        self._union_stats = self.engine.stats.kind_counters("union-row")
-        self._codegen = None
-        #: Verdict memo of the generated path (identity-keyed like
-        #: ``_document_memo``, same ``batch-validate`` stats kind; kept
-        #: separate so the two paths never mix value types under one id).
-        self._codegen_verdicts: OrderedDict[int, tuple[Tree, bool]] = OrderedDict()
-        if self.backend != "python":
-            from repro.engine.codegen import codegen_validator_for
+            rules.setdefault(label, []).append((state_bit[state], compiled))
+        #: label -> ``((state_bit, CompactNFA), ...)``, one entry per rule.
+        self._rules: dict[str, tuple] = {label: tuple(entries) for label, entries in rules.items()}
+        #: label -> its initial state.  Fixed for the schema's lifetime;
+        #: evictions only clear their successors.
+        self._initial: dict[str, LabelState] = {}
+        for label, entries in self._rules.items():
+            currents = tuple(nfa.initial_mask for _bit, nfa in entries)
+            self._initial[label] = LabelState(label, currents, self._close_mask(label, currents))
+        #: ``(label, currents) -> LabelState`` for every state a step reached.
+        self._states: dict[tuple, LabelState] = {}
+        self._dfa_stats = self.engine.stats.kind_counters(LABEL_DFA_KIND)
+        self._document_memo: OrderedDict[int, tuple[Tree, int]] = OrderedDict()
 
-            self._codegen = codegen_validator_for(self, self.engine)
+    # ------------------------------------------------------------------ #
+    # the label automata
+    # ------------------------------------------------------------------ #
+
+    def _close_mask(self, label: str, currents: tuple) -> int:
+        mask = 0
+        for (state_bit, nfa), current in zip(self._rules[label], currents):
+            if current & nfa.finals_closed:
+                mask |= state_bit
+        return mask
+
+    def _step(self, state: LabelState, child_mask: int):
+        """The successor of ``state`` on a child's mask: a miss, computed and memoized.
+
+        Every rule's current set moves over every symbol of ``child_mask``
+        through the ε-free ``CompactNFA.delta`` rows.  Returns the interned
+        successor, or ``0`` when every rule died (a zero ``child_mask``
+        always does).
+        """
+        currents = []
+        alive = 0
+        for (_state_bit, nfa), current in zip(self._rules[state.label], state.currents):
+            moved = 0
+            if current:
+                delta = nfa.delta
+                symbols_left = child_mask
+                while symbols_left:
+                    low = symbols_left & -symbols_left
+                    row = delta[low.bit_length() - 1]
+                    states_left = current
+                    while states_left:
+                        state_low = states_left & -states_left
+                        moved |= row[state_low.bit_length() - 1]
+                        states_left ^= state_low
+                    symbols_left ^= low
+            currents.append(moved)
+            alive |= moved
+        successor = self._intern(state.label, tuple(currents)) if alive else 0
+        transitions = state.next
+        if len(transitions) >= self.transition_capacity:
+            transitions.clear()
+            self._dfa_stats.evictions += 1
+        transitions[child_mask] = successor
+        self._dfa_stats.misses += 1
+        return successor
+
+    def _intern(self, label: str, currents: tuple) -> LabelState:
+        key = (label, currents)
+        state = self._states.get(key)
+        if state is not None:
+            return state
+        if len(self._states) >= self.state_capacity:
+            # Drop the whole graph: the interned states, and the initial
+            # states' edges into it.  Runs in flight keep the states they
+            # hold (each is still correct) and step on into the new table;
+            # a step racing this drop may re-link one old state, which the
+            # next drop detaches again.
+            self._states.clear()
+            for initial in self._initial.values():
+                initial.next.clear()
+            self._dfa_stats.evictions += 1
+        # Two threads may build the same state at once; setdefault keeps
+        # one, and an eviction in between can leave two equal states alive.
+        # Either is harmless: equal states give equal verdicts.
+        return self._states.setdefault(
+            key, LabelState(label, currents, self._close_mask(label, currents))
+        )
 
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _horizontal_accepts(
-        compiled: CompactNFA, child_masks: Sequence[int], stats=None
-    ) -> bool:
-        """Does ``compiled`` accept some word drawn from the child bitmasks?
-
-        Runs the ε-free (pre-closure convention) simulation entirely on
-        integers: the current state set and every child's symbol set are
-        bitmasks.  Each step reads one dense union row -- ``row[q] =
-        Δ(closure(q), child_mask)`` -- from the automaton's bounded
-        :attr:`~repro.automata.kernel.compact.CompactNFA.union_rows` cache
-        (child symbol-sets recur constantly across sibling words), so the
-        inner symbol scan runs only on a cache miss.  ``stats`` is an
-        optional per-kind counter leaf (``union-row`` in ``engine_stats``)
-        updated with plain int adds.
-        """
-        current = compiled.initial_mask
-        if child_masks:
-            union_rows = compiled.union_rows
-            for child_mask in child_masks:
-                row = union_rows.get(child_mask)
-                if row is None:
-                    if len(union_rows) >= _UNION_ROW_CAPACITY:
-                        union_rows.clear()
-                        if stats is not None:
-                            stats.evictions += 1
-                    row = union_rows[child_mask] = _union_row(compiled, child_mask)
-                    if stats is not None:
-                        stats.misses += 1
-                elif stats is not None:
-                    stats.hits += 1
-                moved = 0
-                states_left = current
-                while states_left:
-                    state_low = states_left & -states_left
-                    moved |= row[state_low.bit_length() - 1]
-                    states_left ^= state_low
-                if not moved:
-                    return False
-                current = moved
-        return bool(current & compiled.finals_closed)
-
     def _possible_mask(self, tree: Tree) -> int:
-        child_masks = []
+        """The states assignable to the root of ``tree`` (a bitmask)."""
+        initial = self._initial
+        state = initial.get(tree.label)
+        if state is None:
+            return 0
         for child in tree.children:
-            mask = self._possible_mask(child)
-            if not mask:
+            if child.children:
+                mask = self._possible_mask(child)
+            else:  # a leaf's mask is its label's initial close mask
+                leaf = initial.get(child.label)
+                mask = leaf.close if leaf is not None else 0
+            following = state.next.get(mask)
+            if following is None:
+                following = self._step(state, mask)
+            if not following:
                 return 0
-            child_masks.append(mask)
-        return self._label_mask(tree.label, child_masks)
+            state = following
+        return state.close
 
     def _element_mask(self, element: ET.Element) -> int:
         """:meth:`_possible_mask` over a parsed element (tags are labels)."""
-        child_masks = []
-        for child in element:
-            mask = self._element_mask(child)
-            if not mask:
-                return 0
-            child_masks.append(mask)
-        return self._label_mask(element.tag, child_masks)
-
-    def _label_mask(self, label: str, child_masks: list[int]) -> int:
-        """The states assignable to a ``label`` node with these children."""
-        rules = self._rules_by_label.get(label)
-        if not rules:
+        initial = self._initial
+        state = initial.get(element.tag)
+        if state is None:
             return 0
-        result = 0
-        accepts = self._horizontal_accepts
-        stats = self._union_stats
-        for state_bit, compiled in rules:
-            if accepts(compiled, child_masks, stats):
-                result |= state_bit
-        return result
+        for child in element:
+            if len(child):
+                mask = self._element_mask(child)
+            else:
+                leaf = initial.get(child.tag)
+                mask = leaf.close if leaf is not None else 0
+            following = state.next.get(mask)
+            if following is None:
+                following = self._step(state, mask)
+            if not following:
+                return 0
+            state = following
+        return state.close
 
-    def _possible_states(self, tree: Tree) -> frozenset:
-        order = self._state_order
-        return frozenset(order[index] for index in iter_bits(self._possible_mask(tree)))
-
-    def possible_states(self, tree: Tree) -> frozenset:
-        """The states assignable to the root of ``tree``, memoized per document.
+    def _memoized_mask(self, tree: Tree) -> int:
+        """:meth:`_possible_mask`, memoized per document object.
 
         The memo is keyed by object identity with the document pinned, so
-        re-validating the same (immutable) document object -- the common case
-        for resource peers -- is a dictionary lookup.
+        re-validating the same (immutable) document object -- the common
+        case for resource peers -- is a dictionary lookup.
         """
         entry = self._document_memo.get(id(tree))
         if entry is not None and entry[0] is tree:
@@ -251,8 +293,8 @@ class CompiledSchema:
             self.engine.stats.record_hit("batch-validate")
             return entry[1]
         self.engine.stats.record_miss("batch-validate")
-        states = self._possible_states(tree)
-        self._document_memo[id(tree)] = (tree, states)
+        mask = self._possible_mask(tree)
+        self._document_memo[id(tree)] = (tree, mask)
         if len(self._document_memo) > _DOCUMENT_MEMO_CAPACITY:
             try:
                 self._document_memo.popitem(last=False)
@@ -260,45 +302,25 @@ class CompiledSchema:
                 pass
             else:
                 self.engine.stats.record_eviction("batch-validate")
-        return states
+        return mask
+
+    def possible_states(self, tree: Tree) -> frozenset:
+        """The states assignable to the root of ``tree``, memoized per document."""
+        order = self._state_order
+        return frozenset(order[index] for index in iter_bits(self._memoized_mask(tree)))
 
     def accepts(self, tree: Tree) -> bool:
-        if self._codegen is not None:
-            # Same identity-keyed document memo contract as the interpreted
-            # path (kind ``batch-validate``): re-validating the same pinned
-            # document object is a dictionary hit, not a re-fold.
-            memo = self._codegen_verdicts
-            entry = memo.get(id(tree))
-            if entry is not None and entry[0] is tree:
-                try:
-                    memo.move_to_end(id(tree))
-                except KeyError:
-                    pass
-                self.engine.stats.record_hit("batch-validate")
-                return entry[1]
-            self.engine.stats.record_miss("batch-validate")
-            verdict = self._codegen.validate_tree(tree)
-            memo[id(tree)] = (tree, verdict)
-            if len(memo) > _DOCUMENT_MEMO_CAPACITY:
-                try:
-                    memo.popitem(last=False)
-                except KeyError:
-                    pass
-                else:
-                    self.engine.stats.record_eviction("batch-validate")
-            return verdict
-        return bool(self.possible_states(tree) & self.finals)
+        return bool(self._memoized_mask(tree) & self._finals_mask)
 
     def accepts_payload(self, payload: Union[bytes, str]) -> bool:
         """Membership of one serialised document, from its bytes.
 
         One pass of the C parser (:func:`parse_payload`), then
         :meth:`accepts_element` over the parsed elements.  Nothing is
-        memoized -- a publication is validated once, so an identity memo
-        would only pin it.  A payload the parser rejects is replayed
-        through the interpreted streaming machine, which raises the same
-        typed :class:`~repro.errors.InvalidXMLError` the streaming surface
-        does.
+        memoized per document -- a publication is validated once, so an
+        identity memo would only pin it.  A payload the parser rejects is
+        replayed through the streaming run, which raises the same typed
+        :class:`~repro.errors.InvalidXMLError` the streaming surface does.
         """
         try:
             root = parse_payload(payload)
@@ -309,17 +331,12 @@ class CompiledSchema:
     def accepts_element(self, root: ET.Element, payload: Union[bytes, str]) -> bool:
         """Membership of a document the C parser already parsed from ``payload``.
 
-        The backend's fold over the parsed elements: the interpreted
-        :meth:`_horizontal_accepts` kernel on ``python``, the generated
-        ``_mask_of`` on ``codegen``/``numpy``.  A document too deep for
-        the recursive fold gets its verdict by replaying ``payload``
-        through the iterative streaming machine.
+        The element fold over the parsed elements.  A document too deep
+        for the recursive fold gets its verdict by replaying ``payload``
+        through the iterative streaming run.
         """
         try:
-            if self._codegen is not None:
-                mask = self._codegen._mask_of(root)
-            else:
-                mask = self._element_mask(root)
+            mask = self._element_mask(root)
         except RecursionError:
             return self._replay(payload)
         return bool(mask & self._finals_mask)
@@ -327,8 +344,7 @@ class CompiledSchema:
     def _replay(self, payload: Union[bytes, str]) -> bool:
         from repro.streaming.machine import streaming_validator_for
 
-        machine = streaming_validator_for(self, self.engine, backend="python")
-        return machine.validate_payload(payload)
+        return streaming_validator_for(self, self.engine).validate_payload(payload)
 
 
 @dataclass(frozen=True)
@@ -354,22 +370,14 @@ class BatchReport:
 
 
 class BatchValidator:
-    """Validate many documents (or many peers' documents) against one schema.
+    """Validate many documents (or many peers' documents) against one schema."""
 
-    ``backend`` selects the validation strategy (see
-    :mod:`repro.engine.backends`); verdicts are identical across backends.
-    """
-
-    def __init__(self, schema, engine=None, backend=None) -> None:
-        self.compiled = CompiledSchema(schema, engine, backend=backend)
+    def __init__(self, schema, engine=None) -> None:
+        self.compiled = CompiledSchema(schema, engine)
 
     @property
     def schema(self):
         return self.compiled.schema
-
-    @property
-    def backend(self) -> str:
-        return self.compiled.backend
 
     def validate(self, document: Tree) -> bool:
         """Membership of one document in the compiled schema's language."""
@@ -384,16 +392,7 @@ class BatchValidator:
         return self.compiled.accepts_payload(payload)
 
     def validate_many(self, documents: Iterable[Tree]) -> list[bool]:
-        """Validate a batch in one pass over the compiled automaton.
-
-        The ``numpy`` backend steps the whole batch level-by-level through
-        vectorized boolean tensors (many documents, one schema); the other
-        backends validate per document.
-        """
-        if self.compiled.backend == "numpy":
-            from repro.engine.backends import validate_many_vectorized
-
-            return validate_many_vectorized(self.compiled, list(documents))
+        """Validate a batch against the compiled automaton, one verdict each."""
         return [self.compiled.accepts(document) for document in documents]
 
     def report(self, documents: Iterable[Tree]) -> BatchReport:

@@ -41,12 +41,12 @@ class CacheStats:
         """The per-kind counter leaf, for hot paths that bump counters inline.
 
         ``record_hit``/``record_miss`` cost a dict probe and two increments
-        per call; kernel-step counters (the union-row cache, the codegen
-        fold tables) instead hoist the leaf once and do plain int adds.
-        Those counters appear in the per-kind breakdown of
-        :meth:`snapshot`/:meth:`report` but are deliberately *not* folded
-        into the global hit/miss totals, which keep describing the engine
-        memo caches alone.
+        per call; kernel-step counters (the label automata of
+        :class:`~repro.engine.batch.CompiledSchema`) instead hoist the leaf
+        once and do plain int adds.  Those counters appear in the per-kind
+        breakdown of :meth:`snapshot`/:meth:`report` but are deliberately
+        *not* folded into the global hit/miss totals, which keep describing
+        the engine memo caches alone.
         """
         return self._kind(kind)
 

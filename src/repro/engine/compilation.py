@@ -62,12 +62,6 @@ SCHEMA_TO_UTA_KIND = "schema-to-uta"
 #: :func:`repro.streaming.machine.streaming_validator_for`).
 STREAMING_MACHINE_KIND = "streaming-machine"
 
-#: Memo kind for per-schema generated validator functions, keyed by the
-#: UTA content fingerprint (see :mod:`repro.engine.codegen`).  Lives in
-#: the bounded engine LRU, so entries are eviction-counted in
-#: ``engine_stats`` like every other kind.
-CODEGEN_VALIDATOR_KIND = "codegen-validator"
-
 
 class _IdentityMemo:
     """A bounded per-object memo keyed by ``id``.

@@ -108,7 +108,6 @@ class Federation:
         spawn: str = "thread",
         host: str = "127.0.0.1",
         workers: int = 2,
-        validation_backend: Optional[str] = None,
         lease_ttl: float = 30.0,
         lease_interval: float = 5.0,
         client_timeout: Optional[float] = 30.0,
@@ -125,7 +124,6 @@ class Federation:
         self.spawn = spawn
         self.host = host
         self.workers = workers
-        self.validation_backend = validation_backend
         self.lease_ttl = lease_ttl
         self.lease_interval = lease_interval
         self.client_timeout = client_timeout
@@ -206,7 +204,6 @@ class Federation:
                 host=self.host,
                 port=0,
                 lease_ttl=self.lease_ttl,
-                validation_backend=self.validation_backend,
                 metrics_port=0 if self.metrics else None,
             )
             self._directory_handle = ServiceHandle(server).start()
@@ -239,7 +236,6 @@ class Federation:
                 directory_port=self.directory_port,
                 lease_interval=self.lease_interval,
                 runtime_workers=self.workers,
-                validation_backend=self.validation_backend,
                 metrics_port=0 if self.metrics else None,
             )
             pod.handle = ServiceHandle(server).start()
@@ -320,11 +316,21 @@ class Federation:
     def publish(
         self, function: str, payload: Union[str, bytes], trace_id: Optional[str] = None
     ) -> dict:
-        """Route one wire publication to the owning pod."""
+        """Route one wire publication to the owning pod.
+
+        The payload is recorded as the function's latest even when the pod
+        refuses it as malformed: a typing change replays it, so the peer
+        stays invalid, as a single runtime keeps it.
+        """
         pod = self._pod_of(function)
-        result = pod.client.publish(
-            self.design_id, function, payload, trace_id=trace_id
-        )
+        try:
+            result = pod.client.publish(
+                self.design_id, function, payload, trace_id=trace_id
+            )
+        except ServiceError as error:
+            if error.code == "invalid-xml":
+                self._last_payload[function] = payload
+            raise
         self._last_payload[function] = payload
         return result
 

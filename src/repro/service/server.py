@@ -330,7 +330,6 @@ class ValidationServer:
         executor_workers: int = 2,
         runtime_workers: int = 4,
         runtime_shards: Optional[int] = None,
-        validation_backend: Optional[str] = None,
         max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
         rate_limit: Optional[float] = None,
         rate_burst: Optional[float] = None,
@@ -341,8 +340,6 @@ class ValidationServer:
         logger: Optional[LogRecorder] = None,
         log_sink: Optional[IO[str]] = None,
     ) -> None:
-        from repro.engine.backends import resolve_backend
-
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
@@ -362,10 +359,6 @@ class ValidationServer:
         self.stream_inline_threshold = stream_inline_threshold
         #: Ceiling on concurrently-open wire streams per runtime shard.
         self.max_streams_per_shard = max_streams_per_shard
-        #: Validation backend every registered design's runtime compiles
-        #: with (resolved eagerly so an unavailable backend fails at
-        #: server construction, not at the first register request).
-        self.validation_backend = resolve_backend(validation_backend)
         self.metrics = ServiceMetrics()
         #: ``None`` keeps the HTTP exposition off; ``0`` binds ephemeral.
         self.metrics_port = metrics_port
@@ -592,7 +585,6 @@ class ValidationServer:
             document,
             max_workers=self.runtime_workers,
             shards=self.runtime_shards,
-            validation_backend=self.validation_backend,
             logger=self.logger,
         )
         try:

@@ -10,11 +10,12 @@ fires.  This package is the execution mode that never does:
   element start and end callbacks, classifying malformed input exactly
   like ElementTree;
 * :mod:`repro.streaming.machine` owns one such parser per document and
-  steps one frame of horizontal-DFA state sets per *open* element (a
-  stack, not a tree) straight from those callbacks, producing exactly the
-  verdict :class:`~repro.engine.batch.BatchValidator` would, for DTDs,
-  SDTDs and EDTDs alike, in O(depth) working memory, rejecting early the
-  moment no state assignment can exist any more.
+  steps one label state per *open* element (a stack, not a tree)
+  straight from those callbacks -- the states the batch folds step too --
+  producing exactly the verdict
+  :class:`~repro.engine.batch.BatchValidator` would, for DTDs, SDTDs and
+  EDTDs alike, in O(depth) working memory, rejecting early the moment no
+  state assignment can exist any more.
 
 The distributed runtime (:meth:`ValidationRuntime.publish_stream`), the
 network service (the ``publish_stream_*`` operations) and the public

@@ -1,45 +1,40 @@
-"""The streaming validator: one DFA frame per open element, no tree.
+"""The streaming validator: one label state per open element, no tree.
 
 :class:`~repro.engine.batch.CompiledSchema` validates bottom-up: a node's
 set of assignable vertical states is a bitmask, computed from its
-children's masks by running the horizontal automata of the node's label.
-That recursion needs the whole tree -- but its *data flow* is exactly a
-stack: a node's horizontal automata only ever consume children masks in
-document order, and a child's mask is final the moment the child closes.
+children's masks by the lazily determinized automaton of the node's label
+(:class:`~repro.engine.batch.LabelState`).  That recursion needs the whole
+tree -- but its *data flow* is exactly a stack: a label state consumes its
+children's masks in document order, and a child's mask is final the
+moment the child closes.
 
-:class:`StreamingRun` exploits this.  Each open element owns one **frame**
-holding, for every rule ``(state, label)`` of the schema's tree automaton
-that could assign ``state`` to this element, the current state set of that
-rule's horizontal automaton (a bitmask, stepped with the same per-symbol
-successor arrays as the batch loop).  The run owns an expat parser
+:class:`StreamingRun` exploits this.  The run owns an expat parser
 (:func:`~repro.streaming.events.element_parser`) whose callbacks do the
-work: an element start pushes a frame, an element end folds the frame into
-the element's possible-state mask and feeds it -- as one symbol-set --
-into the parent frame.  Working memory is O(depth x rules-per-label); no
-per-node allocation survives an element's end.
+work: an element start pushes its label's initial state, an element end
+pops the element's state, reads its close mask and steps the parent's
+state on it -- one dict probe once the schema's tables are warm.  Working
+memory is one state reference per open element; the states themselves
+live in the schema's bounded, shared tables, and no per-node allocation
+survives an element's end.
 
 Verdicts are **identical** to :meth:`BatchValidator.validate` for every
-schema kind: a frame *is* the pending suffix of
-:meth:`CompiledSchema._possible_mask` for that node, and the per-frame
-state-set semantics is precisely the EDTD "possible states" lift -- for
-DTDs each label has a single rule and the masks collapse to one bit.
+schema kind: the run steps the very states the Tree fold
+(:meth:`CompiledSchema._possible_mask`) steps, in the same order.
 
 Early rejection: the instant some element's mask is empty (no rule of its
-label survived) -- or an element's label has no rule at all -- no state
-assignment can exist for any completion of the document, so the run dies
-immediately (``rejected_at`` records the event index).  The run then swaps
-in callbacks that only count events and depth, and keeps parsing, so a
-document that is both invalid and malformed is still classified as
-malformed, matching the parse-first tree path.
+label survived), every rule of an element's label dies, or an element's
+label has no rule at all, no state assignment can exist for any completion
+of the document, so the run dies immediately (``rejected_at`` records the
+event index).  The run then swaps in callbacks that only count events and
+depth, and keeps parsing, so a document that is both invalid and malformed
+is still classified as malformed, matching the parse-first tree path.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Optional, Union
 from xml.parsers.expat import ExpatError
 
-from repro.engine.backends import resolve_backend
 from repro.engine.batch import CompiledSchema
 from repro.errors import InvalidXMLError
 from repro.streaming.events import element_parser, expat_name, iter_chunks
@@ -47,7 +42,7 @@ from repro.streaming.events import element_parser, expat_name, iter_chunks
 __all__ = ["StreamingRun", "StreamingValidator", "streaming_validator_for"]
 
 
-def streaming_validator_for(schema, engine=None, backend=None) -> "StreamingValidator":
+def streaming_validator_for(schema, engine=None) -> "StreamingValidator":
     """The memoized streaming validator of a schema object.
 
     Compiled once per schema identity through the engine (memo kind
@@ -55,72 +50,34 @@ def streaming_validator_for(schema, engine=None, backend=None) -> "StreamingVali
     :class:`CompiledSchema` uses), so repeated streaming validations --
     the runtime's publish path, the service, the benchmarks -- share one
     compiled machine exactly like peers share compiled batch validators.
-
-    ``backend`` defaults to the schema's own backend when the schema is a
-    :class:`CompiledSchema` (so the runtime's stream ingest inherits the
-    runtime's validation backend), then to the usual resolution
-    (``$REPRO_BACKEND``, else ``python``).  Different backends memoize
-    under distinct kinds so they never collide on one schema object.
     """
     from repro.engine.compilation import STREAMING_MACHINE_KIND, get_default_engine
 
     active = engine if engine is not None else get_default_engine()
-    if backend is None and isinstance(schema, CompiledSchema):
-        backend = schema.backend
-    resolved = resolve_backend(backend)
-    kind = (
-        STREAMING_MACHINE_KIND
-        if resolved == "python"
-        else f"{STREAMING_MACHINE_KIND}:{resolved}"
-    )
     return active.memo_identity(
-        kind, schema, lambda: StreamingValidator(schema, active, backend=resolved)
+        STREAMING_MACHINE_KIND, schema, lambda: StreamingValidator(schema, active)
     )
 
 
 class StreamingValidator:
     """A schema compiled for event-driven validation (many runs, one machine).
 
-    Wraps the same :class:`CompiledSchema` the batch path uses (so the
-    horizontal automata are shared, content-memoized kernels) and
-    pre-flattens its per-label rules into the tuple layout the hot event
-    loop wants: ``(state_bit, delta, finals_closed)`` plus the initial
-    state-set template per label.
+    Wraps the same :class:`CompiledSchema` the batch path uses, so stream
+    runs, Tree folds and element folds step one set of label states.
     """
 
-    __slots__ = ("compiled", "backend", "_codegen", "_label_rules", "_finals_mask")
+    __slots__ = ("compiled", "_initial")
 
-    def __init__(self, schema, engine=None, backend=None) -> None:
+    def __init__(self, schema, engine=None) -> None:
         if isinstance(schema, CompiledSchema):
             self.compiled = schema
-            self.backend = schema.backend if backend is None else resolve_backend(backend)
         else:
-            self.compiled = CompiledSchema(schema, engine, backend=backend)
-            self.backend = self.compiled.backend
-        #: The generated whole-payload validator (codegen/numpy backends);
-        #: ``None`` on the interpreted path.  Shared with the batch side
-        #: through the ``codegen-validator`` engine memo.
-        self._codegen = None
-        if self.backend != "python":
-            from repro.engine.codegen import codegen_validator_for
-
-            self._codegen = codegen_validator_for(self.compiled, engine)
+            self.compiled = CompiledSchema(schema, engine)
         #: label, as expat names it (:func:`~repro.streaming.events.expat_name`)
-        #: -> frame template; an entry is ``(state_bit, delta,
-        #: finals_closed)`` with ``delta`` the dense per-symbol successor
-        #: arrays over the schema's shared state order.  A frame is the
-        #: template's shallow copy ``[entries, current_0, ..., current_k]``
-        #: -- one flat list per open element, currents start at each rule's
-        #: initial state set.
-        self._label_rules: dict[str, list] = {}
-        for label, rules in self.compiled._rules_by_label.items():
-            entries = tuple(
-                (state_bit, nfa.delta, nfa.finals_closed) for state_bit, nfa in rules
-            )
-            self._label_rules[expat_name(label)] = [entries] + [
-                1 << nfa.initial for _sb, nfa in rules
-            ]
-        self._finals_mask = self.compiled._finals_mask
+        #: -> the label's initial state, so no string work runs per event.
+        self._initial = {
+            expat_name(label): state for label, state in self.compiled._initial.items()
+        }
 
     @property
     def schema(self):
@@ -143,48 +100,22 @@ class StreamingValidator:
         verdict.  The run keeps parsing after an early rejection, so a
         document that is both invalid and malformed is reported as
         malformed, exactly like parse-then-validate.
-
-        On the ``codegen``/``numpy`` backends the verdict comes from the
-        generated whole-payload fold (O(document) memory -- the parser's
-        element tree is materialized); any parse anomaly replays the
-        buffered chunks through this interpreted path so the typed error
-        classification is identical.  Incremental consumers
-        (:meth:`run`) always get the interpreted O(depth) machine.
         """
-        codegen = self._codegen
-        if codegen is not None:
-            fed: list = []
-            verdict = codegen.try_validate_chunks(chunks, fed)
-            if verdict is not None:
-                return verdict
-            chunks = chain(fed, chunks)
-        return self._interpreted_chunks(chunks)
-
-    def _interpreted_chunks(self, chunks: Iterable[Union[bytes, str]]) -> bool:
         run = self.run()
         for chunk in chunks:
             run.feed(chunk)
         return run.finish()
 
     def validate_payload(self, payload: Union[bytes, str], chunk_bytes: int = 65536) -> bool:
-        """Validate one whole payload (sliced into bounded chunks internally).
-
-        On the ``codegen``/``numpy`` backends this is the compiled schema's
-        bytes entry (:meth:`CompiledSchema.accepts_payload
-        <repro.engine.batch.CompiledSchema.accepts_payload>`: one parse,
-        the generated fold, this interpreted machine as the fallback); the
-        ``python`` backend keeps the O(depth) interpreted machine.
-        """
-        if self._codegen is not None:
-            return self.compiled.accepts_payload(payload)
-        return self._interpreted_chunks(iter_chunks(payload, chunk_bytes))
+        """Validate one whole payload (sliced into bounded chunks internally)."""
+        return self.validate_chunks(iter_chunks(payload, chunk_bytes))
 
 
 class StreamingRun:
-    """Validating one document: an expat parser stepping DFA frames.
+    """Validating one document: an expat parser stepping label states.
 
     :meth:`feed` hands each chunk to the run's own expat parser, whose
-    start and end callbacks push and fold the frames directly;
+    start and end callbacks push and step the label states directly;
     :meth:`finish` ends the input and returns the verdict.  Malformed or
     truncated input raises :class:`~repro.errors.InvalidXMLError`.  One
     run parses one document.
@@ -195,30 +126,33 @@ class StreamingRun:
     """
 
     __slots__ = (
-        "_labels",
+        "_initial",
+        "_step",
         "_finals_mask",
         "_parser",
         "_stack",
         "_depth",
         "_max_depth",
-        "_events",
+        "_opens",
         "_rejected_at",
         "_root_mask",
     )
 
     def __init__(self, machine: StreamingValidator) -> None:
-        self._labels = machine._label_rules
-        self._finals_mask = machine._finals_mask
+        self._initial = machine._initial
+        self._step = machine.compiled._step
+        self._finals_mask = machine.compiled._finals_mask
         self._parser = element_parser(self._open, self._close)
-        #: One frame per open element: ``[entries, current_0, ...]``.
-        #: ``entries`` is the machine's shared per-label tuple (never
-        #: copied); only the flat frame list is allocated per open element
-        #: -- O(depth) live, nothing survives a close.
-        self._stack: list[list] = []
-        #: Open elements once the run is dead (the frame stack is dropped).
+        #: One label state per open element -- O(depth) live references
+        #: into the schema's shared tables, nothing allocated per element.
+        self._stack: list = []
+        #: Open elements once the run is dead (the state stack is dropped).
         self._depth = 0
         self._max_depth = 0
-        self._events = 0
+        #: Element starts seen.  Every end closes an open element, so the
+        #: events so far are ``2 * opens - open elements``: only starts
+        #: need counting.
+        self._opens = 0
         self._rejected_at: Optional[int] = None
         self._root_mask: Optional[int] = None
 
@@ -244,7 +178,8 @@ class StreamingRun:
     @property
     def events(self) -> int:
         """Element starts plus element ends seen so far."""
-        return self._events
+        depth = self._depth if self._rejected_at is not None else len(self._stack)
+        return 2 * self._opens - depth
 
     @property
     def root_mask(self) -> Optional[int]:
@@ -258,7 +193,7 @@ class StreamingRun:
     # ------------------------------------------------------------------ #
 
     def feed(self, chunk: Union[bytes, str]) -> None:
-        """Parse one chunk of any size, stepping the frames it completes."""
+        """Parse one chunk of any size, stepping the states it completes."""
         self._parse(chunk, False)
 
     def finish(self) -> bool:
@@ -301,68 +236,40 @@ class StreamingRun:
     # ------------------------------------------------------------------ #
 
     def _open(self, name: str, _attributes) -> None:
-        self._events += 1
-        template = self._labels.get(name)
+        self._opens += 1
+        state = self._initial.get(name)
         stack = self._stack
-        if template is None:
+        if state is None:
             # No rule can ever assign a state to this element: its mask
             # will be 0, so no completion of the document is valid.
             self._reject(len(stack) + 1)
             return
-        stack.append(template.copy())
+        stack.append(state)
         if len(stack) > self._max_depth:
             self._max_depth = len(stack)
 
     def _close(self, _name: str) -> None:
-        self._events += 1
         stack = self._stack
-        frame = stack.pop()
-        entries = frame[0]
-        if len(entries) == 1:
-            # The single-rule fast path (every DTD label; most SDTD ones).
-            state_bit, _delta, finals_closed = entries[0]
-            mask = state_bit if frame[1] & finals_closed else 0
-        else:
-            mask = 0
-            for index, (state_bit, _delta, finals_closed) in enumerate(entries):
-                if frame[index + 1] & finals_closed:
-                    mask |= state_bit
-        if not mask:
-            self._reject(len(stack))
-            return
-        if not stack:
+        # The closed element's mask -- its set of assignable states -- is
+        # the symbol-set its parent's label state reads next.  A zero mask
+        # steps to the dead state like a parent whose every rule died.
+        mask = stack.pop().close
+        if stack:
+            parent = stack[-1]
+            state = parent.next.get(mask)
+            if state is None:
+                state = self._step(parent, mask)
+            if state:
+                stack[-1] = state
+                return
+        elif mask:
             self._root_mask = mask
             return
-        # Feed the closed child's mask -- its set of assignable states is
-        # the symbol-set its parent's horizontal automata read -- into the
-        # parent frame.  Same integer kernel step as the batch loop.
-        parent = stack[-1]
-        alive = 0
-        for index, (_state_bit, delta, _finals_closed) in enumerate(parent[0]):
-            current = parent[index + 1]
-            if not current:
-                continue
-            moved = 0
-            symbols_left = mask
-            while symbols_left:
-                low = symbols_left & -symbols_left
-                row = delta[low.bit_length() - 1]
-                states_left = current
-                while states_left:
-                    state_low = states_left & -states_left
-                    moved |= row[state_low.bit_length() - 1]
-                    states_left ^= state_low
-                symbols_left ^= low
-            parent[index + 1] = moved
-            alive |= moved
-        if not alive:
-            # Every rule of the parent's label is dead: the parent's mask
-            # will be 0 no matter what siblings follow.
-            self._reject(len(stack))
+        self._reject(len(stack))
 
     def _reject(self, depth: int) -> None:
         """Die at the current event; from here on only count the rest."""
-        self._rejected_at = self._events
+        self._rejected_at = 2 * self._opens - depth
         self._stack = []
         self._depth = depth
         if depth > self._max_depth:
@@ -373,11 +280,10 @@ class StreamingRun:
             parser.EndElementHandler = self._close_dead
 
     def _open_dead(self, _name: str, _attributes) -> None:
-        self._events += 1
+        self._opens += 1
         self._depth += 1
         if self._depth > self._max_depth:
             self._max_depth = self._depth
 
     def _close_dead(self, _name: str) -> None:
-        self._events += 1
         self._depth -= 1

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.kernel import KernelTree
 from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import CONTROL_MESSAGE_BYTES, DistributedDocument
 from repro.distributed.peer import PublicationRecord
@@ -377,7 +378,7 @@ class TestWirePublish:
             assert runtime.validate_locally().valid
             peer = document.resources["f1"]
             assert isinstance(peer.document, PublicationRecord)
-            assert peer.document.payload == payload.encode("utf-8")
+            assert peer.document.payload == payload
             strict = TreeTyping(
                 {f: DTD(default_root_name(f), {default_root_name(f): "never"}) for f in workload.typing}
             )
@@ -408,6 +409,122 @@ class TestWirePublish:
             assert peer.answer() == bad
             assert peer.document_size() == len(tree_to_xml(bad).encode("utf-8"))
             assert not document.validate_centralized(workload.global_type).valid
+
+
+#: A ``str`` publication declaring an encoding it is no longer in: read as
+#: bytes in that encoding, ``données`` turns into ``donnÃ©es``.
+DECLARED_LATIN = '<?xml version="1.0" encoding="iso-8859-1"?><données><a/></données>'
+
+
+def latin_runtime():
+    document = DistributedDocument(KernelTree("k(f1)"), {"f1": tree_from_xml("<données/>")})
+    runtime = ValidationRuntime(document, backend="serial")
+    runtime.propagate_typing({"f1": latin_schema()})
+    return runtime
+
+
+def latin_schema():
+    return DTD("données", {"données": "a*"})
+
+
+class TestStrPublications:
+    """A ``str`` is parsed as the characters it is, whatever encoding it declares."""
+
+    def test_publish_reads_the_characters_and_hashes_utf8(self):
+        with latin_runtime() as runtime:
+            runtime.publish("f1", DECLARED_LATIN)
+            assert runtime.validate_locally().valid
+            digest = "wire:" + payload_fingerprint(DECLARED_LATIN.encode("utf-8"))
+            assert runtime.export_state()["current_fp"]["f1"] == digest
+            # The record keeps the str, so a typing change re-reads it right.
+            runtime.propagate_typing({"f1": latin_schema()})
+            report = runtime.validate_locally()
+            assert report.valid and report.peers_validated == 1
+
+    @pytest.mark.parametrize("chunk_chars", [None, 1, 7])
+    def test_publish_stream_reads_the_characters_and_hashes_utf8(self, chunk_chars):
+        payload = (
+            DECLARED_LATIN
+            if chunk_chars is None
+            else [
+                DECLARED_LATIN[start : start + chunk_chars]
+                for start in range(0, len(DECLARED_LATIN), chunk_chars)
+            ]
+        )
+        with latin_runtime() as runtime:
+            report = runtime.publish_stream("f1", payload)
+            assert report.valid and not report.malformed
+            assert report.fingerprint == "wire:" + payload_fingerprint(DECLARED_LATIN)
+            runtime.propagate_typing({"f1": latin_schema()})
+            again = runtime.publish_stream("f1", payload)
+            assert again.valid and not again.clean
+
+
+class TestMalformedLatestPublication:
+    """A malformed latest publication stays ``False`` under every typing."""
+
+    MALFORMED = "<root_f1><record></root_f1>"
+
+    def test_typing_change_keeps_the_malformed_verdict_and_fingerprint(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=4) as runtime:
+            runtime.validate_locally(workload.typing)
+            runtime.publish("f1", self.MALFORMED)
+            assert runtime.validate_locally().parse_failures == ("f1",)
+            malformed_fp = runtime.export_state()["current_fp"]["f1"]
+            assert malformed_fp == "wire:" + payload_fingerprint(self.MALFORMED)
+            runtime.propagate_typing(workload.typing)
+            report = runtime.validate_locally()
+            assert not report.valid and report.parse_failures == ()
+            state = runtime.export_state()
+            assert state["acks"]["f1"] is False
+            assert state["current_fp"]["f1"] == state["validated_fp"]["f1"] == malformed_fp
+            # Publishing again ends it.
+            runtime.publish("f1", tree_to_xml(workload.initial_documents["f1"]))
+            assert runtime.validate_locally().valid
+            runtime.propagate_typing(workload.typing)
+            assert runtime.validate_locally().valid
+
+    def test_a_malformed_stream_is_kept_the_same_way(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=2) as runtime:
+            runtime.validate_locally(workload.typing)
+            assert runtime.publish_stream("f1", self.MALFORMED).malformed
+            runtime.propagate_typing(workload.typing)
+            assert not runtime.validate_locally().valid
+            assert runtime.peer_acks()["f1"] is False
+            runtime.publish_stream("f1", tree_to_xml(workload.initial_documents["f1"]))
+            runtime.propagate_typing(workload.typing)
+            with pytest.raises(DesignError, match="re-publish"):
+                runtime.validate_locally()
+
+    def test_an_out_of_band_update_ends_it(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=2) as runtime:
+            runtime.validate_locally(workload.typing)
+            runtime.publish("f1", self.MALFORMED)
+            assert not runtime.validate_locally().valid
+            fresh = tree_from_xml(tree_to_xml(workload.initial_documents["f1"]))
+            document.update_resource("f1", fresh)
+            assert runtime.validate_locally().valid
+
+
+class TestTypingCompilation:
+    def test_a_typing_compiles_in_the_calling_thread_and_every_compile_counts(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, max_workers=4) as runtime:
+            runtime.propagate_typing(workload.typing)
+            assert runtime.scheduler._pool is None  # nothing was dispatched
+            stats = runtime.engine_stats()["by_kind"]["schema-to-uta"]
+            assert stats["hits"] + stats["misses"] == PEERS
+            runtime.propagate_typing(workload.typing)
+            stats = runtime.engine_stats()["by_kind"]["schema-to-uta"]
+            assert stats["hits"] + stats["misses"] == 2 * PEERS
+            assert runtime.validate_locally().valid
 
 
 class TestFingerprints:

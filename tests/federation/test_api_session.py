@@ -1,7 +1,7 @@
 """The unified DesignSession API: one design, four execution substrates.
 
 Every mode must answer the same verdicts for the same publications, the
-design-free statics must not warn, and unknown modes/backends must fail
+design-free statics must not warn, and unknown modes must fail
 with errors that name the valid choices.
 """
 

@@ -161,6 +161,37 @@ def test_typing_change_keeps_published_documents():
         assert federation.close()["clean"]
 
 
+def test_malformed_latest_publication_survives_a_typing_change():
+    """A malformed latest publication stays ``False``, with its fingerprint, under a new typing."""
+    workload = build_workload(seed=3, invalid_rate=0.0)
+    good = tree_to_xml(workload.initial_documents["f1"])
+    malformed = "<root_f1><record></root_f1>"
+    document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+    with ValidationRuntime(document, max_workers=2) as runtime:
+        runtime.propagate_typing(workload.typing)
+        runtime.publish("f1", good)
+        runtime.validate_locally()
+        runtime.publish("f1", malformed)
+        runtime.validate_locally()
+        runtime.propagate_typing(workload.typing)
+        expected = runtime.validate_locally().valid
+        expected_digest = runtime.state_digest()
+    assert expected is False
+    with Federation(
+        workload.kernel, workload.typing, workload.initial_documents, pods=2, spawn="thread"
+    ) as federation:
+        assert federation.publish("f1", good)["peer_valid"] is True
+        with pytest.raises(ServiceError) as excinfo:
+            federation.publish("f1", malformed)
+        assert excinfo.value.code == "invalid-xml"
+        federation.propagate_typing(workload.typing)
+        verdict = federation.global_verdict()
+        assert verdict["complete"], verdict
+        assert verdict["valid"] is False and verdict["acks"]["f1"] is False
+        assert federation.state_digest() == expected_digest
+        assert federation.close()["clean"]
+
+
 @pytest.mark.parametrize("verb", ["publish", "publish_stream"])
 def test_malformed_publication_reaches_the_directory(verb):
     """A reply implies the directory has its effect -- an ``invalid-xml`` one too."""

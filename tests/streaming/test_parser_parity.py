@@ -8,7 +8,9 @@ expat would skip.  One table of payloads covers those differences
 encodings expat has to honour, and markup hidden in comments and CDATA.
 Each payload goes whole and in 1-byte chunks through every surface that
 streams: the validator, the bytes entry, the runtime and the service.  The
-outcome -- verdict or ``invalid-xml`` -- must equal the tree path's.
+outcome -- verdict or ``invalid-xml`` -- must equal the tree path's.  The
+validator's runs go once on the schema's shared label tables and once with
+tables so small that nearly every step is computed and evicts.
 """
 
 from __future__ import annotations
@@ -127,11 +129,11 @@ def test_oracle_outcome(schema, payload, expected):
     assert oracle(schema, payload) == expected
 
 
-@pytest.mark.parametrize("backend", ["python", "codegen"])
+@pytest.mark.usefixtures("label_tables")
 @pytest.mark.parametrize("chunk_bytes", CHUNKINGS)
 @pytest.mark.parametrize("schema, payload, expected", CASES)
-def test_streaming_validator(schema, payload, expected, chunk_bytes, backend):
-    machine = streaming_validator_for(SCHEMAS[schema], backend=backend)
+def test_streaming_validator(schema, payload, expected, chunk_bytes):
+    machine = streaming_validator_for(SCHEMAS[schema])
     assert outcome(machine.validate_chunks, chunked(payload, chunk_bytes)) == expected
 
 
@@ -209,9 +211,10 @@ class TestEarlyRejection:
     SCHEMA = dtd("s", {"s": "a*"})
     PAYLOAD = b"<s><zzz><a><b/></a></zzz></s>"
 
+    @pytest.mark.usefixtures("label_tables")
     @pytest.mark.parametrize("chunk_bytes", CHUNKINGS)
     def test_rejected_run_keeps_counting(self, chunk_bytes):
-        run = streaming_validator_for(self.SCHEMA, backend="python").run()
+        run = streaming_validator_for(self.SCHEMA).run()
         for chunk in chunked(self.PAYLOAD, chunk_bytes):
             run.feed(chunk)
         assert run.finish() is False
@@ -227,8 +230,8 @@ class TestEarlyRejection:
             truncated = runtime.publish_stream("f1", self.PAYLOAD[:-4], chunk_bytes=5)
             assert truncated.malformed
 
-    @pytest.mark.parametrize("backend", ["python", "codegen"])
-    def test_rejected_then_truncated_is_malformed(self, backend):
-        machine = streaming_validator_for(self.SCHEMA, backend=backend)
+    @pytest.mark.usefixtures("label_tables")
+    def test_rejected_then_truncated_is_malformed(self):
+        machine = streaming_validator_for(self.SCHEMA)
         with pytest.raises(InvalidXMLError):
             machine.validate_chunks([b"<s><zzz>", b"<a>"])
