@@ -3,7 +3,7 @@
 The paper's Section 1 motivation at system scale: once local types are
 propagated, each peer validates its own publications and only
 acknowledgements travel.  This benchmark drives the runtime introduced on
-top of that story -- thread-pool execution over shards, wire-level
+top of that story -- per-shard compilation engines, wire-level
 content-addressed ingest, incremental revalidation -- against the serial
 baseline that parses and revalidates everything every round.
 
@@ -50,7 +50,7 @@ def test_runtime_republish_round(benchmark, peers):
     """The runtime's round over byte-identical re-publications: hashes only."""
     workload = build(peers)
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=4) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
 
@@ -68,7 +68,7 @@ def test_runtime_single_edit_round(benchmark):
     """Edit one peer, revalidate: exactly one validator re-runs."""
     workload = build(8)
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=4) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.validate_locally(workload.typing)
         good = tree_to_xml(workload.initial_documents["f3"])
         bad = tree_to_xml(corrupt_document(workload.initial_documents["f3"]))
@@ -86,7 +86,7 @@ def test_runtime_single_edit_round(benchmark):
 def test_workload_replay_comparison(benchmark, table):
     """The full driver replay: serial vs runtime vs centralized ledgers."""
     workload = build(8)
-    report = WorkloadDriver(workload, max_workers=4).run(("serial", "runtime", "centralized"))
+    report = WorkloadDriver(workload).run(("serial", "runtime", "centralized"))
     assert report.verdicts_agree
     serial, runtime = report.outcome("serial"), report.outcome("runtime")
     assert runtime.documents_validated < serial.documents_validated
@@ -107,15 +107,15 @@ def test_workload_replay_comparison(benchmark, table):
         ["strategy", "wall ms", "validated", "docs/s", "messages", "bytes"],
         rows,
     )
-    benchmark(lambda: WorkloadDriver(workload, max_workers=4).run(("runtime",)))
+    benchmark(lambda: WorkloadDriver(workload).run(("runtime",)))
 
 
 def test_scaled_workload_smoke(benchmark):
     """Hundreds of peers: the runtime holds up at scale (smoke-sized here)."""
     workload = distributed_workload(peers=100, documents=160, seed=4, invalid_rate=0.02)
-    driver = WorkloadDriver(workload, max_workers=8)
+    driver = WorkloadDriver(workload)
     report = driver.run(("runtime",))
     outcome = report.outcome("runtime")
     assert outcome.rounds == 61
     assert outcome.documents_validated <= 160
-    benchmark(lambda: WorkloadDriver(workload, max_workers=8).run(("runtime",)))
+    benchmark(lambda: WorkloadDriver(workload).run(("runtime",)))

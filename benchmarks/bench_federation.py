@@ -46,7 +46,7 @@ def federated():
     workload = build()
     federation = Federation(
         workload.kernel, workload.typing, workload.initial_documents,
-        pods=2, spawn="thread", workers=2,
+        pods=2, spawn="thread",
     )
     try:
         yield federation, workload
@@ -97,7 +97,7 @@ def test_full_round_republish(benchmark, federated):
 
 def _replay_in_process(workload):
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=2) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         for function, doc in workload.initial_documents.items():
             runtime.publish(function, tree_to_xml(doc))
@@ -117,7 +117,7 @@ def smoke() -> dict:
     latencies_ms = []
     with Federation(
         workload.kernel, workload.typing, workload.initial_documents,
-        pods=2, spawn="thread", workers=2,
+        pods=2, spawn="thread",
     ) as federation:
         publications = [
             *workload.initial_documents.items(),

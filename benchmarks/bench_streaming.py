@@ -125,7 +125,7 @@ def _runtime_peak(payload: bytes, chunk_bytes: int) -> int:
     is the large stream's own.
     """
     document = DistributedDocument(kernel("s(f1)"), {"f1": parse_term("r(a)")})
-    runtime = ValidationRuntime(document, backend="serial")
+    runtime = ValidationRuntime(document)
     try:
         runtime.propagate_typing({"f1": WIDE_DTD})
         assert runtime.publish_stream("f1", wide_payload(2), chunk_bytes).valid is True

@@ -493,7 +493,7 @@ def _scenario_federation_publish(pods: int, peers: int, documents: int):
     )
     federation = Federation(
         workload.kernel, workload.typing, workload.initial_documents,
-        pods=pods, spawn="thread", workers=2,
+        pods=pods, spawn="thread",
     )
     _CLEANUPS.append(lambda: federation.close())
     payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
@@ -524,7 +524,7 @@ def _scenario_distributed_workload(strategy: str, peers: int, documents: int):
     """One full workload replay through the distributed runtime's driver.
 
     ``serial`` parses and revalidates every publication; ``runtime`` is the
-    sharded thread-pool runtime with content-addressed incremental ingest.
+    sharded runtime with content-addressed incremental ingest.
     The recorded ratio between the two is the headline of PR 3 (the
     ``speedup_vs_serial`` key is derived in :func:`main`).
     """
@@ -534,8 +534,8 @@ def _scenario_distributed_workload(strategy: str, peers: int, documents: int):
     workload = synthetic.distributed_workload(
         peers=peers, documents=documents, seed=0, invalid_rate=0.05
     )
-    driver = WorkloadDriver(workload, max_workers=4)
-    sizes = {"peers": peers, "documents": documents, "workers": 4}
+    driver = WorkloadDriver(workload)
+    sizes = {"peers": peers, "documents": documents}
 
     def run():
         report = driver.run((strategy,))

@@ -229,7 +229,8 @@ class ExecutionConfig:
       (:class:`~repro.federation.Federation`), each owning a shard of the
       design's functions.
 
-    ``workers``/``shards`` size the runtime; ``pods`` and ``spawn`` (``"thread"`` or ``"process"``) shape the federation; and
+    ``shards`` sets the runtime's shard count; ``pods`` and ``spawn``
+    (``"thread"`` or ``"process"``) shape the federation; and
     ``server_options`` passes the service tier's overload knobs through
     (``max_queue_depth``, ``rate_limit``, ``stream_ttl``, ...).
 
@@ -239,7 +240,6 @@ class ExecutionConfig:
     """
 
     mode: str = "runtime"
-    workers: int = 4
     shards: Optional[int] = None
     pods: int = 2
     spawn: str = "thread"
@@ -293,8 +293,7 @@ class DesignSession:
     * :meth:`report` -- a JSON-shaped description of the session.
 
     Sessions own their substrate: ``close()`` (or the context manager)
-    shuts down the runtime's thread pool, the service's server thread, or
-    the whole federation.
+    shuts down the service's server thread or the whole federation.
 
     >>> from repro import DesignSession, dtd
     >>> schema = dtd("r", {"r": "a*"})
@@ -339,14 +338,12 @@ class DesignSession:
             self._logger = LogRecorder(component="runtime")
             self._runtime = ValidationRuntime(
                 DistributedDocument(self.kernel, dict(self.documents)),
-                max_workers=config.workers,
                 shards=config.shards,
                 logger=self._logger,
             )
             self._runtime.propagate_typing(self.typing)
         elif config.mode == "service":
             options = dict(config.server_options)
-            options.setdefault("runtime_workers", config.workers)
             if config.shards is not None:
                 options.setdefault("runtime_shards", config.shards)
             if config.metrics_port is not None:
@@ -370,7 +367,6 @@ class DesignSession:
                 design_id=config.design_id,
                 spawn=config.spawn,
                 host=config.host,
-                workers=config.workers,
                 metrics=config.metrics_port is not None,
             )
 
@@ -577,7 +573,7 @@ class DesignSession:
         validated), starts the server on its own thread and hands back the
         live :class:`~repro.service.server.ServiceHandle`, which closes the
         server gracefully on ``close()``.  ``server_options`` go to the
-        server (``max_frame_bytes``, ``max_batch``, ``runtime_workers``,
+        server (``max_frame_bytes``, ``max_batch``, ``runtime_shards``,
         the overload tier's ``max_queue_depth``, ``rate_limit``,
         ``stream_ttl``, ...).
         """
@@ -593,14 +589,12 @@ class DesignSession:
     def run_workload(
         peers: int = 8,
         documents: int = 64,
-        workers: int = 4,
         shards: Optional[int] = None,
         seed: int = 0,
         invalid_rate: float = 0.05,
         records: int = 12,
         fields: int = 6,
         strategies: tuple[str, ...] = ("serial", "runtime"),
-        backend: str = "thread",
     ) -> WorkloadReport:
         """Replay a synthetic workload and compare execution strategies.
 
@@ -608,10 +602,10 @@ class DesignSession:
         of ``documents`` publications over ``peers`` peers and replays it
         through the requested ``strategies`` (any of ``"serial"``,
         ``"runtime"``, ``"centralized"``) with a
-        :class:`~repro.distributed.runtime.WorkloadDriver`; ``backend``
-        names the runtime's scheduler (``"thread"`` or ``"serial"``).
+        :class:`~repro.distributed.runtime.WorkloadDriver`; ``shards`` sets
+        the runtime's shard count.
 
-        >>> report = DesignSession.run_workload(peers=4, documents=12, workers=2)
+        >>> report = DesignSession.run_workload(peers=4, documents=12, shards=2)
         >>> report.verdicts_agree
         True
         """
@@ -623,13 +617,7 @@ class DesignSession:
             records=records,
             fields=fields,
         )
-        driver = WorkloadDriver(
-            workload,
-            max_workers=workers,
-            shards=shards,
-            backend=backend,
-        )
-        return driver.run(strategies)
+        return WorkloadDriver(workload, shards=shards).run(strategies)
 
     @staticmethod
     def stream_validate(

@@ -14,7 +14,7 @@ designer's tool:
 * ``repro-design bench-stream --peers 8 --documents 40`` — compare the
   streaming validation path against the tree-based one on a synthetic
   publication stream (wall-clock and peak memory);
-* ``repro-design distributed --peers 8 --documents 64 --workers 4`` —
+* ``repro-design distributed --peers 8 --documents 64 --shards 4`` —
   replay a synthetic distributed-validation workload through the serial,
   sharded-runtime and (optionally) centralized strategies and compare
   wall-clock, throughput, messages and bytes shipped;
@@ -196,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     distributed.add_argument(
         "--documents", type=int, default=64, help="total publications (initial seeds + edits)"
     )
-    distributed.add_argument("--workers", type=int, default=4, help="thread-pool size")
-    distributed.add_argument("--shards", type=int, default=None, help="shard count (default: workers)")
+    distributed.add_argument(
+        "--shards", type=int, default=None, help="shard count (default: min(peers, 4))"
+    )
     distributed.add_argument("--seed", type=int, default=0, help="workload random seed")
     distributed.add_argument(
         "--invalid-rate", type=float, default=0.05, help="probability of a corrupt publication"
@@ -241,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="shut down after this many seconds (otherwise serve until a shutdown request)",
     )
-    serve.add_argument("--workers", type=int, default=4, help="runtime thread-pool size per design")
     serve.add_argument(
         "--max-frame-bytes", type=int, default=None, help="reject frames larger than this"
     )
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument(
         "--rate", type=float, default=None, help="open loop: offered publications per second"
     )
-    bench_serve.add_argument("--workers", type=int, default=4, help="runtime thread-pool size")
     bench_serve.add_argument(
         "--max-queue-depth",
         type=int,
@@ -403,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="shut down after this many seconds (otherwise serve until a shutdown request)",
     )
-    directory.add_argument("--workers", type=int, default=2, help="runtime thread-pool size per design")
     _add_metrics_port_argument(directory)
     _add_json_argument(directory, "the endpoint announcement")
 
@@ -439,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="shut down after this many seconds (otherwise serve until a shutdown request)",
     )
-    pod.add_argument("--workers", type=int, default=2, help="runtime thread-pool size per design")
     _add_metrics_port_argument(pod)
     _add_json_argument(pod, "the endpoint announcement")
 
@@ -538,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     federate.add_argument(
         "--invalid-rate", type=float, default=0.25, help="probability of a corrupt publication"
     )
-    federate.add_argument("--workers", type=int, default=2, help="runtime thread-pool size per pod")
     _add_json_argument(federate, "the federation report")
 
     return parser
@@ -652,7 +648,6 @@ def _run_distributed(args: argparse.Namespace) -> int:
     report = DesignSession.run_workload(
         peers=args.peers,
         documents=args.documents,
-        workers=args.workers,
         shards=args.shards,
         seed=args.seed,
         invalid_rate=args.invalid_rate,
@@ -746,7 +741,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_frame_bytes=args.max_frame_bytes if args.max_frame_bytes is not None else MAX_FRAME_BYTES,
         max_batch=args.max_batch if args.max_batch is not None else DEFAULT_MAX_BATCH,
         batch_window=args.batch_window,
-        runtime_workers=args.workers,
         metrics_port=args.metrics_port,
         **overload_options,
     )
@@ -772,7 +766,6 @@ def _run_directory(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         lease_ttl=args.lease_ttl,
-        runtime_workers=args.workers,
         metrics_port=args.metrics_port,
     )
     return _serve_until_shutdown(
@@ -799,7 +792,6 @@ def _run_pod(args: argparse.Namespace) -> int:
         directory_host=directory_host,
         directory_port=directory_port,
         lease_interval=args.lease_interval,
-        runtime_workers=args.workers,
         metrics_port=args.metrics_port,
     )
     return _serve_until_shutdown(
@@ -1020,8 +1012,7 @@ def _run_federate(args: argparse.Namespace) -> int:
         invalid_rate=args.invalid_rate,
     )
     reference = ValidationRuntime(
-        DistributedDocument(workload.kernel, dict(workload.initial_documents)),
-        max_workers=args.workers,
+        DistributedDocument(workload.kernel, dict(workload.initial_documents))
     )
     reference.propagate_typing(workload.typing)
     publications = list(publication_stream(workload))
@@ -1032,7 +1023,6 @@ def _run_federate(args: argparse.Namespace) -> int:
         workload.initial_documents,
         pods=args.pods,
         spawn=args.spawn,
-        workers=args.workers,
     ) as federation:
         for function, payload in publications:
             federation.publish(function, payload)
@@ -1187,9 +1177,7 @@ def _run_bench_serve(args: argparse.Namespace) -> int:
     server_options = {}
     if args.max_queue_depth is not None:
         server_options["max_queue_depth"] = args.max_queue_depth
-    server = ValidationServer(
-        runtime_workers=args.workers, **server_options
-    )
+    server = ValidationServer(**server_options)
     retry = None
     if args.retry_attempts is not None:
         retry = RetryPolicy(attempts=args.retry_attempts, seed=args.retry_seed)

@@ -1,15 +1,15 @@
-"""The sharded, concurrent distributed-validation runtime.
+"""The sharded, incremental distributed-validation runtime.
 
 The serial :class:`~repro.distributed.network.DistributedDocument`
 simulation validates peers one at a time on the calling thread.  This
 package turns it into a runtime:
 
 * :mod:`~repro.distributed.runtime.sharding` -- deterministic assignment of
-  peers to shards (the unit of concurrency);
-* :mod:`~repro.distributed.runtime.scheduler` -- the thread-pool scheduler
-  running shard tasks with one compilation engine per shard;
+  peers to shards (one compilation engine each);
+* :mod:`~repro.distributed.runtime.scheduler` -- the scheduler running a
+  round's shard tasks in the settling thread, each on its shard's engine;
 * :mod:`~repro.distributed.runtime.runtime` -- :class:`ValidationRuntime`:
-  parallel local validation plus content-addressed incremental
+  sharded local validation plus content-addressed incremental
   revalidation (only peers whose document fingerprint changed revalidate;
   the global verdict is re-derived from cached acknowledgements);
 * :mod:`~repro.distributed.runtime.driver` -- :class:`WorkloadDriver`:

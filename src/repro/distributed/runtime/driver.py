@@ -9,7 +9,7 @@ network so the cost ledgers are comparable:
   :meth:`~repro.distributed.network.DistributedDocument.validate_locally`:
   every publication is parsed and every peer revalidates every round;
 * ``runtime`` -- the sharded :class:`~repro.distributed.runtime.runtime.ValidationRuntime`:
-  parallel validation with content-addressed incremental revalidation
+  content-addressed incremental revalidation
   (publications whose bytes are unchanged are dropped after one hash);
 * ``stream`` -- the event-driven path: every publication is fed chunk by
   chunk through :meth:`ValidationRuntime.publish_stream`, hashed and
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.distributed.network import DistributedDocument
-from repro.distributed.runtime.runtime import ValidationRuntime, resolve_pool
+from repro.distributed.runtime.runtime import ValidationRuntime
+from repro.distributed.runtime.sharding import resolve_shards
 from repro.errors import DesignError
 from repro.trees.xml_io import tree_from_xml, tree_to_xml
 from repro.workloads.synthetic import DistributedWorkload
@@ -86,7 +87,6 @@ class WorkloadReport:
 
     peers: int
     documents: int
-    workers: int
     shards: int
     outcomes: tuple[StrategyOutcome, ...]
 
@@ -107,7 +107,6 @@ class WorkloadReport:
         return {
             "peers": self.peers,
             "documents": self.documents,
-            "workers": self.workers,
             "shards": self.shards,
             "verdicts_agree": self.verdicts_agree,
             "outcomes": [outcome.to_dict() for outcome in self.outcomes],
@@ -117,7 +116,7 @@ class WorkloadReport:
         lines = [
             f"workload: {self.peers} peers, {self.documents} documents "
             f"({self.outcomes[0].rounds if self.outcomes else 0} rounds), "
-            f"{self.workers} workers / {self.shards} shards"
+            f"{self.shards} shards"
         ]
         header = f"{'strategy':<14} {'wall s':>9} {'validated':>10} {'docs/s':>10} {'messages':>9} {'bytes':>12}"
         lines.append(header)
@@ -138,15 +137,11 @@ class WorkloadDriver:
     def __init__(
         self,
         workload: DistributedWorkload,
-        max_workers: int = 4,
         shards: Optional[int] = None,
-        backend: str = "thread",
         stream_chunk_bytes: int = 65536,
     ) -> None:
         self.workload = workload
-        self.max_workers = max_workers
         self.shards = shards
-        self.backend = backend
         self.stream_chunk_bytes = stream_chunk_bytes
 
     # ------------------------------------------------------------------ #
@@ -207,12 +202,7 @@ class WorkloadDriver:
 
     def _run_runtime(self) -> StrategyOutcome:
         document = self._build_document()
-        with ValidationRuntime(
-            document,
-            max_workers=self.max_workers,
-            shards=self.shards,
-            backend=self.backend,
-        ) as runtime:
+        with ValidationRuntime(document, shards=self.shards) as runtime:
             runtime.propagate_typing(self.workload.typing)
             base = document.network.snapshot()
             wall, verdicts = self._replay(
@@ -231,12 +221,7 @@ class WorkloadDriver:
         per-round ``validate_locally`` is pure cached-ack bookkeeping.
         """
         document = self._build_document()
-        with ValidationRuntime(
-            document,
-            max_workers=self.max_workers,
-            shards=self.shards,
-            backend=self.backend,
-        ) as runtime:
+        with ValidationRuntime(document, shards=self.shards) as runtime:
             runtime.propagate_typing(self.workload.typing)
             base = document.network.snapshot()
 
@@ -276,13 +261,9 @@ class WorkloadDriver:
             if strategy not in runners:
                 raise DesignError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
             outcomes.append(runners[strategy]())
-        _workers, shard_count = resolve_pool(
-            max(1, self.workload.peer_count), self.max_workers, self.shards
-        )
         return WorkloadReport(
             peers=self.workload.peer_count,
             documents=self.workload.document_count,
-            workers=self.max_workers,
-            shards=shard_count,
+            shards=resolve_shards(self.workload.peer_count, self.shards),
             outcomes=tuple(outcomes),
         )

@@ -1,13 +1,14 @@
-"""The sharded, concurrent validation runtime.
+"""The sharded, incremental validation runtime.
 
 :class:`ValidationRuntime` layers three things on top of the serial
 :class:`~repro.distributed.network.DistributedDocument` simulation:
 
-* **Parallel local validation** -- peers are partitioned into shards
-  (:mod:`~repro.distributed.runtime.sharding`) and validated concurrently
-  by a thread-pool scheduler with one compilation engine per shard
-  (:mod:`~repro.distributed.runtime.scheduler`).  Compiled schemas are
-  shared read-only, so per-peer document runs are embarrassingly parallel.
+* **Sharded local validation** -- peers are partitioned into shards
+  (:mod:`~repro.distributed.runtime.sharding`), each with its own
+  compilation engine; a round runs one task per shard holding dirty
+  peers, in the thread that settles the round
+  (:mod:`~repro.distributed.runtime.scheduler`).  Each check holds the
+  GIL throughout, so a thread pool would run none of them at once.
 * **Incremental revalidation** -- every validated document is
   content-addressed with :func:`~repro.engine.fingerprint.tree_fingerprint`.
   A peer is *dirty* only when its current content differs from the content
@@ -22,7 +23,7 @@
   *bytes* (:func:`~repro.engine.fingerprint.payload_fingerprint`) before
   any parsing.  Hashing runs at native speed, so a byte-identical
   re-publication costs one digest and nothing else.  A changed payload is
-  validated from its bytes inside the shard task, off the coordinator
+  validated from its bytes inside the shard task
   (:meth:`BatchValidator.validate_payload
   <repro.engine.batch.BatchValidator.validate_payload>`: one C-parser
   pass and the element fold) -- no :class:`~repro.trees.document.Tree`
@@ -69,7 +70,7 @@ from repro.core.typing import TreeTyping
 from repro.distributed.network import DistributedDocument, ValidationReport
 from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime.scheduler import ShardScheduler
-from repro.distributed.runtime.sharding import ShardMap
+from repro.distributed.runtime.sharding import ShardMap, resolve_shards
 from repro.engine.batch import BatchValidator
 from repro.engine.compilation import CompilationEngine, use_engine
 from repro.engine.fingerprint import (
@@ -116,17 +117,6 @@ def merge_states(states) -> dict:
         pending.update(state.get("pending", ()))
     merged["pending"] = sorted(pending)
     return merged
-
-
-def resolve_pool(peer_count: int, max_workers: Optional[int], shards: Optional[int]) -> tuple[int, int]:
-    """The ``(workers, shard_count)`` a runtime resolves its defaults to.
-
-    Shared with :class:`~repro.distributed.runtime.driver.WorkloadDriver`
-    so reported shard counts can never drift from the runtime's own.
-    """
-    workers = max(1, max_workers if max_workers is not None else min(8, peer_count))
-    shard_count = max(1, shards if shards is not None else min(peer_count, workers))
-    return workers, shard_count
 
 
 @dataclass
@@ -329,6 +319,8 @@ class StreamIngest:
                 fingerprint,
                 clean=True,
                 valid=runtime._acks[function],
+                # A clean skip of a malformed latest publication is one.
+                malformed=function in runtime._malformed_latest,
                 payload_bytes=self._payload_bytes,
                 max_depth=run.max_depth,
                 events=run.events,
@@ -366,7 +358,7 @@ class StreamIngest:
 
 
 class ValidationRuntime:
-    """Concurrent, incremental local validation over a distributed document.
+    """Sharded, incremental local validation over a distributed document.
 
     Parameters
     ----------
@@ -374,15 +366,9 @@ class ValidationRuntime:
         The :class:`DistributedDocument` whose peers this runtime drives.
         The runtime shares the document's network (all traffic lands in one
         ledger) but *not* its engine: each shard compiles on its own.
-    max_workers:
-        Thread-pool size (default: ``min(8, peer count)``).
     shards:
-        Number of shards (default: ``min(peer count, max_workers)`` -- one
-        task per worker, which keeps dispatch overhead proportional to the
-        pool, not to the peer count).
-    backend:
-        ``"thread"`` (default) or ``"serial"`` (inline execution, used by
-        the differential tests).
+        Number of shards (default: ``min(peer count, 4)``).  A runtime
+        starts no thread: every shard task runs in the caller's thread.
 
     Every peer validates through one :class:`CompiledSchema
     <repro.engine.batch.CompiledSchema>` per local type: ``publish`` folds
@@ -393,9 +379,7 @@ class ValidationRuntime:
     def __init__(
         self,
         document: DistributedDocument,
-        max_workers: Optional[int] = None,
         shards: Optional[int] = None,
-        backend: str = "thread",
         logger=None,
     ) -> None:
         self.document = document
@@ -404,13 +388,11 @@ class ValidationRuntime:
         #: ride with publications (``_pending_traces``), so the shard task
         #: that eventually validates a payload can stamp its settle event
         #: with the publication's trace even when the validation round
-        #: runs later, from another thread.
+        #: runs later.
         self.logger = logger
         functions = tuple(document.resources)
-        peer_count = max(1, len(functions))
-        workers, shard_count = resolve_pool(peer_count, max_workers, shards)
-        self.shard_map = ShardMap.over(functions, shard_count)
-        self.scheduler = ShardScheduler(self.shard_map, max_workers=workers, backend=backend)
+        self.shard_map = ShardMap.over(functions, resolve_shards(len(functions), shards))
+        self.scheduler = ShardScheduler(self.shard_map)
         self.stats = RuntimeStats()
         #: Serialises every mutation of (and consistent read over) the
         #: incremental state below.  Reentrant so a validation round may
@@ -459,13 +441,11 @@ class ValidationRuntime:
     def propagate_typing(self, typing: TreeTyping) -> None:
         """Install a typing: compile every local type, then hand it to its peer.
 
-        Compilation is Python under the GIL, so the shard pool would only
-        add dispatch and split the compilation memo across engines: every
-        local type compiles in the calling thread on the first shard's
-        engine (which :meth:`engine_stats` counts with the others), and
-        the shards validate with the compiled validators.  Every cached
-        acknowledgement is invalidated -- an ack is only meaningful
-        against the type it was computed for.
+        Every local type compiles on the first shard's engine, so one
+        compilation memo serves the whole typing (:meth:`engine_stats`
+        counts it with the others), and the shards validate with the
+        compiled validators.  Every cached acknowledgement is invalidated
+        -- an ack is only meaningful against the type it was computed for.
         """
         with self._state_lock:
             self._propagate_typing_locked(typing)
@@ -504,8 +484,8 @@ class ValidationRuntime:
         """A peer publishes a new document version.
 
         The content is fingerprinted lazily (inside the next validation
-        round's shard task, off the coordinator); a re-publication of equal
-        content is detected there and skipped.
+        round's shard task); a re-publication of equal content is detected
+        there and skipped.
         """
         if function not in self.document.resources:
             raise DesignError(f"no resource peer serves function {function!r}")
@@ -530,8 +510,9 @@ class ValidationRuntime:
         A payload that fails to parse counts as an invalid publication:
         the peer acknowledges ``False`` and keeps its previous document,
         and it keeps answering ``False``, under any typing, until it
-        publishes again.  A ``str`` payload is parsed as the characters it
-        is and addressed by its UTF-8 encoding.
+        publishes again; re-publishing the same bytes is clean, and
+        :meth:`is_malformed` still reports it.  A ``str`` payload is parsed
+        as the characters it is and addressed by its UTF-8 encoding.
 
         Returns ``True`` when the publication was clean (dropped unparsed).
         """
@@ -640,6 +621,11 @@ class ValidationRuntime:
             )
         return report, verdict
 
+    def is_malformed(self, function: str) -> bool:
+        """Did the peer's latest publication fail to parse?"""
+        with self._state_lock:
+            return function in self._malformed_latest
+
     def dirty_peers(self) -> tuple[str, ...]:
         """Peers whose next validation round cannot reuse a cached ack.
 
@@ -668,7 +654,7 @@ class ValidationRuntime:
         typing_is_local: bool = True,
         force: bool = False,
     ) -> RuntimeReport:
-        """Validate every peer's document in parallel, incrementally.
+        """Validate every dirty peer's document, shard by shard.
 
         Matches the serial
         :meth:`~repro.distributed.network.DistributedDocument.validate_locally`
@@ -721,8 +707,7 @@ class ValidationRuntime:
                 pending = payloads.get(function)
                 if pending is not None:
                     # Validate the queued publication or seed from its
-                    # text here, off the coordinator; the peer holds its
-                    # record.
+                    # text; the peer holds its record.
                     fingerprint, payload = pending
                     try:
                         fingerprint, ack = peer.publish_payload(fingerprint, payload)
@@ -922,14 +907,13 @@ class ValidationRuntime:
     def describe(self) -> str:
         lines = [
             f"validation runtime over {len(self.shard_map)} peer(s), "
-            f"{self.shard_map.shard_count} shard(s), "
-            f"{self.scheduler.max_workers} worker(s) [{self.scheduler.backend}]"
+            f"{self.shard_map.shard_count} shard(s)"
         ]
         lines.extend("  " + line for line in self.shard_map.describe().splitlines()[1:])
         return "\n".join(lines)
 
     def close(self) -> None:
-        self.scheduler.close()
+        """Release the runtime; it holds no thread or socket, so nothing to do."""
 
     def __enter__(self) -> "ValidationRuntime":
         return self

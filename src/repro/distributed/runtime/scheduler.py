@@ -1,73 +1,42 @@
-"""The thread-pool scheduler executing per-shard work.
+"""The scheduler running a validation round's per-shard work.
 
-One :class:`ShardScheduler` owns a lazily-created ``ThreadPoolExecutor``
-and one :class:`~repro.engine.compilation.CompilationEngine` per shard.
-Work is submitted as *shard tasks*: a callable receiving ``(shard,
-engine)`` that processes every peer of that shard sequentially.  While a
-task runs, its shard engine is installed as the worker thread's default
-engine (:func:`~repro.engine.compilation.use_engine`), so any library code
-the task calls into compiles on the shard's cache rather than on a
-throwaway thread-local one.
+One :class:`ShardScheduler` owns one
+:class:`~repro.engine.compilation.CompilationEngine` per shard.  Work is
+given as *shard tasks*: a callable receiving ``(shard, engine)`` that
+processes every peer of that shard sequentially.  While a task runs, its
+shard engine is installed as the thread's default engine
+(:func:`~repro.engine.compilation.use_engine`), so any library code the
+task calls into compiles on the shard's cache.
 
-The ``"serial"`` backend runs the same tasks inline on the calling thread
--- the degenerate scheduler used for debugging and for differential tests
-(the parallel and serial schedules must agree verdict-for-verdict).
+Every task runs in the calling thread -- the one settling the round.  A
+peer's check is one C-parser pass and a Python label-state fold, both
+under the GIL, so a thread pool never ran two checks at once: it only
+added a submit, a wake-up and a GIL hand-off per shard per round.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from repro.engine.compilation import CompilationEngine, use_engine
-from repro.errors import DesignError
 
 from repro.distributed.runtime.sharding import ShardMap
 
 T = TypeVar("T")
 
-#: Upper bound on the default worker count (pool threads are cheap but not free).
-DEFAULT_MAX_WORKERS = 8
-
-#: Recognised scheduler backends.
-BACKENDS = ("thread", "serial")
-
 
 class ShardScheduler:
-    """Execute shard tasks concurrently with per-shard engine reuse."""
+    """Run shard tasks in the calling thread with per-shard engine reuse."""
 
-    def __init__(
-        self,
-        shard_map: ShardMap,
-        max_workers: Optional[int] = None,
-        backend: str = "thread",
-        engines: Optional[Sequence[CompilationEngine]] = None,
-    ) -> None:
-        if backend not in BACKENDS:
-            raise DesignError(f"unknown scheduler backend {backend!r}; expected one of {BACKENDS}")
+    def __init__(self, shard_map: ShardMap) -> None:
         self.shard_map = shard_map
-        self.backend = backend
-        self.max_workers = max(1, max_workers if max_workers is not None else min(
-            DEFAULT_MAX_WORKERS, shard_map.shard_count
-        ))
-        if engines is None:
-            engines = tuple(CompilationEngine() for _ in shard_map.shards())
-        elif len(engines) != shard_map.shard_count:
-            raise DesignError(
-                f"expected {shard_map.shard_count} engines (one per shard), got {len(engines)}"
-            )
-        self.engines: tuple[CompilationEngine, ...] = tuple(engines)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self.engines: tuple[CompilationEngine, ...] = tuple(
+            CompilationEngine() for _ in shard_map.shards()
+        )
 
     # ------------------------------------------------------------------ #
     # engines
     # ------------------------------------------------------------------ #
-
-    def engine_for(self, function: str) -> CompilationEngine:
-        """The engine compiling (and validating) one peer's local type."""
-        return self.engines[self.shard_map.shard_of(function)]
 
     def engine_stats(self) -> dict:
         """Aggregate cache counters across all shard engines.
@@ -95,64 +64,22 @@ class ShardScheduler:
     # execution
     # ------------------------------------------------------------------ #
 
-    def _run_task(self, shard: int, task: Callable[[int, CompilationEngine], T]) -> T:
-        engine = self.engines[shard]
-        with use_engine(engine):
-            return task(shard, engine)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="repro-shard"
-                )
-            return self._pool
-
     def map_shards(
         self,
         task: Callable[[int, CompilationEngine], T],
         shards: Optional[Iterable[int]] = None,
     ) -> list[T]:
-        """Run ``task(shard, engine)`` for each shard; results in shard order.
+        """Run ``task(shard, engine)`` for each shard, in shard order.
 
-        Exceptions raised by a task propagate to the caller (after every
-        submitted task has finished), exactly as in the serial schedule.
+        ``shards`` defaults to every shard with members.  The first
+        exception a task raises propagates; later shards do not run.
         """
-        targets = list(shards) if shards is not None else [
+        targets = shards if shards is not None else [
             shard for shard in self.shard_map.shards() if self.shard_map.members(shard)
         ]
-        if self.backend == "serial" or len(targets) <= 1:
-            return [self._run_task(shard, task) for shard in targets]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._run_task, shard, task) for shard in targets]
-        # Collect in submission (= shard) order so the output is
-        # deterministic, waiting on *every* future before re-raising: by the
-        # time the caller sees an exception, no shard task is still running.
         results: list[T] = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as error:  # noqa: B036 - re-raised below
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
+        for shard in targets:
+            engine = self.engines[shard]
+            with use_engine(engine):
+                results.append(task(shard, engine))
         return results
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent; engines are kept)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ShardScheduler":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()

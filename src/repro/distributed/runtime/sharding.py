@@ -1,15 +1,11 @@
 """Assignment of resource peers to shards.
 
-A *shard* is the unit of concurrency of the validation runtime: peers of
-one shard are always processed sequentially by the same pool task, so the
-shard's :class:`~repro.engine.compilation.CompilationEngine` is never used
-from two threads at once in normal operation.  (The engine caches are
-deliberately lock-free and only tolerate cross-thread sharing through the
-GIL-atomicity of their dictionary operations -- see
-:mod:`repro.engine.cache` -- which is another reason each shard gets its
-own engine.)  Peers of different shards run in parallel -- per-peer
-validation is embarrassingly parallel because compiled schemas are
-read-only after propagation.
+A *shard* is a fixed group of peers: a validation round runs one task
+per shard holding dirty peers, each on the shard's own
+:class:`~repro.engine.compilation.CompilationEngine`, and the validation
+server keeps its per-shard wire-stream slots by it.  Shard tasks run one
+after another in the thread settling the round
+(:mod:`~repro.distributed.runtime.scheduler`).
 
 The assignment is deterministic (round-robin over the kernel's function
 order), so two runtimes built over the same document agree on which engine
@@ -19,9 +15,22 @@ compiles which local type -- which keeps cache statistics reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from repro.errors import DesignError
+
+#: The most shards a runtime gets unless told otherwise.
+DEFAULT_SHARD_LIMIT = 4
+
+
+def resolve_shards(peer_count: int, shards: Optional[int]) -> int:
+    """The shard count a runtime over ``peer_count`` peers resolves to.
+
+    ``shards`` when given, else ``min(peer_count, DEFAULT_SHARD_LIMIT)``;
+    never below one.  Shared by the runtime and the workload driver, so a
+    reported shard count cannot drift from the runtime's own.
+    """
+    return max(1, shards if shards is not None else min(peer_count, DEFAULT_SHARD_LIMIT))
 
 
 @dataclass(frozen=True)

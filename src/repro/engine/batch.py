@@ -101,8 +101,8 @@ class CompiledSchema:
         content models compile once across all schemas and peers.
 
     The label automata are shared, without locks, by every thread that
-    validates against this schema (shard workers, executor threads feeding
-    streams).  Their tables are filled with single dict operations, which
+    validates against this schema (the threads settling validation rounds,
+    executor threads feeding streams).  Their tables are filled with single dict operations, which
     the GIL makes atomic, and are bounded: at most :attr:`state_capacity`
     interned states and :attr:`transition_capacity` successors per state.
     A full table is dropped and refilled on demand, counted as an eviction

@@ -123,9 +123,10 @@ _MISSING = object()
 class LRUCache:
     """A least-recently-used mapping with bounded capacity and statistics.
 
-    The cache may be shared across the distributed runtime's pool workers,
-    so it must tolerate concurrent use -- but it sits on every engine hot
-    path, so it takes no lock.  Safety rests on the GIL: each individual
+    The cache may be shared across threads (the service's executor threads
+    settle rounds and feed streams), so it must tolerate concurrent use --
+    but it sits on every engine hot path, so it takes no lock.  Safety
+    rests on the GIL: each individual
     ``OrderedDict`` operation used here (``get``, ``__setitem__``,
     ``move_to_end``, ``popitem``) is a C method that runs atomically for
     the hashable key types the engine uses (tuples of strings and ints --

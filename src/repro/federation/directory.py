@@ -87,6 +87,9 @@ class DirectoryServer(ValidationServer):
         #: design -> the last global verdict derived here; lets a traced
         #: ``peer_verdict`` record the exact flip it caused.
         self._last_global: dict[str, Optional[bool]] = {}
+        #: Designs whose ``_last_global`` still holds: a push that changes
+        #: no stored ack keeps it, a join or a typing update empties this.
+        self._current_global: set[str] = set()
         registry = self.metrics.registry
         self._gauge_pods_live = registry.gauge_family(
             "repro_federation_pods_live", "pods holding an unexpired lease"
@@ -197,6 +200,7 @@ class DirectoryServer(ValidationServer):
         resolved = (str(endpoint[0]), int(endpoint[1])) if endpoint else None
         now = self._lease_clock()
         record = self._pods.get(pod)
+        self._current_global.clear()
         if record is None:
             record = PodRecord(pod, tuple(functions), resolved, now + self.lease_ttl)
             self._pods[pod] = record
@@ -255,6 +259,7 @@ class DirectoryServer(ValidationServer):
         # Monotonic: a late-arriving older update can never roll the
         # federation back to a superseded typing.
         self._typing_version = max(self._typing_version, version)
+        self._current_global.clear()
         return {"version": self._typing_version}
 
     def _record_verdict(self, body: dict) -> dict:
@@ -271,15 +276,23 @@ class DirectoryServer(ValidationServer):
         else:
             before = self._global_verdict_of(design)["valid"]
         verdicts = self._verdicts.setdefault(design, _DesignVerdicts())
+        changed = False
         for function, ack in acks.items():
             current = verdicts.acks.get(function)
             # Never let an ack computed under an older typing overwrite a
             # fresher one (out-of-order delivery across pods).
             if current is not None and current[1] > version:
                 continue
-            verdicts.acks[function] = (bool(ack), version, pod)
-        after = self._global_verdict_of(design)["valid"]
-        self._last_global[design] = after
+            entry = (bool(ack), version, pod)
+            if entry != current:
+                verdicts.acks[function] = entry
+                changed = True
+        if changed or design not in self._current_global:
+            after = self._global_verdict_of(design)["valid"]
+            self._last_global[design] = after
+            self._current_global.add(design)
+        else:
+            after = before
         self.logger.log_flat(
             "info", "verdict.record", trace_id,
             "pod", pod, "design", design, "recorded", len(acks),

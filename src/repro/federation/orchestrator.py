@@ -107,7 +107,6 @@ class Federation:
         design_id: str = "federated",
         spawn: str = "thread",
         host: str = "127.0.0.1",
-        workers: int = 2,
         lease_ttl: float = 30.0,
         lease_interval: float = 5.0,
         client_timeout: Optional[float] = 30.0,
@@ -123,7 +122,6 @@ class Federation:
         self.design_id = design_id
         self.spawn = spawn
         self.host = host
-        self.workers = workers
         self.lease_ttl = lease_ttl
         self.lease_interval = lease_interval
         self.client_timeout = client_timeout
@@ -235,7 +233,6 @@ class Federation:
                 directory_host=self.directory_host,
                 directory_port=self.directory_port,
                 lease_interval=self.lease_interval,
-                runtime_workers=self.workers,
                 metrics_port=0 if self.metrics else None,
             )
             pod.handle = ServiceHandle(server).start()
@@ -250,7 +247,6 @@ class Federation:
                     "--pod-id", pod.pod_id,
                     "--directory", f"{self.directory_host}:{self.directory_port}",
                     "--lease-interval", str(self.lease_interval),
-                    "--workers", str(self.workers),
                 ]
                 + (["--metrics-port", "0"] if self.metrics else []),
                 env=self._child_env(),

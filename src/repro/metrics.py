@@ -22,8 +22,8 @@ One counter implementation serves every accounting need of the system:
 The module sits beside :mod:`repro.engine` at the bottom of the layer
 stack on purpose: ``distributed`` and ``service`` both import it, never
 each other's accounting.  Everything here is synchronised with plain
-locks and safe to update from pool workers, shard tasks and the asyncio
-event loop thread alike.
+locks and safe to update from executor threads, shard tasks and the
+asyncio event loop thread alike.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ class _MetricFamily:
     kind = "untyped"
     _child_factory = staticmethod(lambda: None)
 
-    __slots__ = ("name", "help", "label_names", "_lock", "_children")
+    __slots__ = ("name", "help", "label_names", "_label_set", "_lock", "_children")
 
     def __init__(self, name: str, help: str = "", labels: Sequence[str] = ()) -> None:
         if not METRIC_NAME_RE.match(name):
@@ -248,11 +248,14 @@ class _MetricFamily:
         self.name = name
         self.help = help
         self.label_names = tuple(labels)
+        if len(set(self.label_names)) != len(self.label_names):
+            raise ValueError(f"family {name!r} repeats a label name: {self.label_names}")
+        self._label_set = frozenset(self.label_names)
         self._lock = threading.Lock()
         self._children: dict[tuple[str, ...], object] = {}
 
     def labels(self, **labels: str):
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
+        if labels.keys() != self._label_set:
             raise ValueError(
                 f"family {self.name!r} takes labels {self.label_names}, got {tuple(labels)}"
             )

@@ -19,6 +19,8 @@ compatibility layer with no double recording on the hot path.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.metrics import (
     Counter,
     Histogram,
@@ -83,12 +85,23 @@ class ServiceMetrics:
         self.batch_wall = registry.histogram_family(
             "repro_batch_wall_ms", "admission batch settle wall-clock"
         )
+        #: The hot path's children, looked up on first use (so a series
+        #: still appears only once recorded): op -> (requests, latency),
+        #: and the five unlabeled batch series.
+        self._request_series: dict[str, tuple[Counter, Histogram]] = {}
+        self._batch_series: Optional[tuple] = None
 
     # -- request accounting --------------------------------------------- #
 
     def record_request(self, op: str, seconds: float) -> None:
-        self.requests.labels(op=op).inc()
-        self.latency.labels(op=op).record(seconds * 1000.0)
+        series = self._request_series.get(op)
+        if series is None:
+            series = self._request_series[op] = (
+                self.requests.labels(op=op),
+                self.latency.labels(op=op),
+            )
+        series[0].inc()
+        series[1].record(seconds * 1000.0)
 
     def record_error(self, code: str) -> None:
         self.errors.labels(code=code).inc()
@@ -111,11 +124,24 @@ class ServiceMetrics:
         self.inline_streamed.labels().inc()
 
     def record_batch(self, size: int, queue_depth: int, seconds: float) -> None:
-        self.batches.labels().inc()
-        self.batched_publications.labels().inc(size)
-        self.batch_size.labels().record(float(size))
-        self.batch_queue_depth.labels().record(float(queue_depth))
-        self.batch_wall.labels().record(seconds * 1000.0)
+        series = self._batch_series
+        if series is None:
+            series = self._batch_series = tuple(
+                family.labels()
+                for family in (
+                    self.batches,
+                    self.batched_publications,
+                    self.batch_size,
+                    self.batch_queue_depth,
+                    self.batch_wall,
+                )
+            )
+        batches, publications, sizes, depths, walls = series
+        batches.inc()
+        publications.inc(size)
+        sizes.record(float(size))
+        depths.record(float(queue_depth))
+        walls.record(seconds * 1000.0)
 
     # -- reporting ------------------------------------------------------- #
 

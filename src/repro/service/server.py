@@ -17,9 +17,9 @@ acknowledgements.
 
 Shutdown is graceful: the listener closes first, queued publications are
 drained through a final batch, every still-open connection receives a
-typed ``shutting-down`` error frame, and the executor and per-design
-runtimes are joined before :meth:`ValidationServer.aclose` returns -- no
-orphan threads, no lost in-flight work.
+typed ``shutting-down`` error frame, and the executor is joined and the
+per-design runtimes closed before :meth:`ValidationServer.aclose`
+returns -- no orphan threads, no lost in-flight work.
 """
 
 from __future__ import annotations
@@ -102,15 +102,10 @@ class RegisteredDesign:
         self.runtime.close()
 
     def describe(self) -> dict:
-        workers, shards = (
-            self.runtime.scheduler.max_workers,
-            self.runtime.shard_map.shard_count,
-        )
         return {
             "design": self.design_id,
             "peers": len(self.document.resources),
-            "workers": workers,
-            "shards": shards,
+            "shards": self.runtime.shard_map.shard_count,
         }
 
 
@@ -328,7 +323,6 @@ class ValidationServer:
         max_batch: int = DEFAULT_MAX_BATCH,
         batch_window: float = 0.0,
         executor_workers: int = 2,
-        runtime_workers: int = 4,
         runtime_shards: Optional[int] = None,
         max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
         rate_limit: Optional[float] = None,
@@ -343,7 +337,6 @@ class ValidationServer:
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
-        self.runtime_workers = runtime_workers
         self.runtime_shards = runtime_shards
         #: Per-client (peer host) admission rate in publications/second;
         #: ``None`` disables the token bucket entirely.
@@ -581,12 +574,7 @@ class ValidationServer:
         document = DistributedDocument(
             kernel, {f: None if f in texts else tree for f, tree in documents.items()}
         )
-        runtime = ValidationRuntime(
-            document,
-            max_workers=self.runtime_workers,
-            shards=self.runtime_shards,
-            logger=self.logger,
-        )
+        runtime = ValidationRuntime(document, shards=self.runtime_shards, logger=self.logger)
         try:
             runtime.propagate_typing(typing)
             for function in document.resources:
@@ -1155,7 +1143,11 @@ class ValidationServer:
             validated = report.peers_validated
         acks = entry.runtime.peer_acks()
         for item, clean in admitted:
-            if item.function in parse_failures:
+            # A clean re-publication of malformed bytes is as malformed
+            # as the first one.
+            if item.function in parse_failures or (
+                clean and entry.runtime.is_malformed(item.function)
+            ):
                 settled.append(
                     (item, OpError("invalid-xml", f"payload for {item.function!r} is not XML"))
                 )

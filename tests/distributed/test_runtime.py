@@ -1,15 +1,16 @@
 """Concurrency suite for the sharded distributed-validation runtime.
 
-The contract under test: the parallel runtime agrees with the serial
+The contract under test: the sharded runtime agrees with the serial
 simulation verdict-for-verdict and message-log-equivalent (order
-insensitive), incremental revalidation touches only dirty peers, and the
-schedule (pool size, shard count, backend) never changes any observable
-outcome.
+insensitive), incremental revalidation touches only dirty peers, the
+shard count never changes any observable outcome, and a runtime starts
+no thread.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import CONTROL_MESSAGE_BYTES, DistributedDocument
 from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime import ShardMap, ShardScheduler, ValidationRuntime, WorkloadDriver
+from repro.engine.compilation import get_default_engine
 from repro.engine.fingerprint import payload_fingerprint, tree_fingerprint
 from repro.errors import DesignError
 from repro.schemas.dtd import DTD
@@ -81,37 +83,57 @@ class TestShardMap:
 
 
 class TestScheduler:
-    def test_serial_and_thread_backends_agree(self):
+    def test_tasks_run_in_the_callers_thread_in_shard_order(self):
         shard_map = ShardMap.over([f"f{i}" for i in range(1, 9)], 4)
-        results = {}
-        for backend in ("serial", "thread"):
-            with ShardScheduler(shard_map, max_workers=4, backend=backend) as scheduler:
-                results[backend] = scheduler.map_shards(
-                    lambda shard, engine: sorted(shard_map.members(shard))
-                )
-        assert results["serial"] == results["thread"]
+        scheduler = ShardScheduler(shard_map)
+        caller = threading.current_thread()
+        seen = []
+
+        def task(shard, engine):
+            assert threading.current_thread() is caller
+            assert engine is scheduler.engines[shard]
+            assert get_default_engine() is scheduler.engines[shard]
+            seen.append(shard)
+            return shard_map.members(shard)
+
+        assert scheduler.map_shards(task) == [shard_map.members(s) for s in range(4)]
+        assert seen == [0, 1, 2, 3]
+        assert scheduler.map_shards(task, [3, 1]) == [shard_map.members(3), shard_map.members(1)]
+        assert seen[4:] == [3, 1]
+        assert get_default_engine() not in scheduler.engines
 
     def test_task_exception_propagates(self):
         shard_map = ShardMap.over(["f1", "f2"], 2)
-        with ShardScheduler(shard_map, max_workers=2) as scheduler:
-            with pytest.raises(RuntimeError, match="boom"):
-                def explode(shard, engine):
-                    raise RuntimeError("boom")
+        scheduler = ShardScheduler(shard_map)
+        ran = []
 
-                scheduler.map_shards(explode)
+        def explode(shard, engine):
+            ran.append(shard)
+            raise RuntimeError("boom")
 
-    def test_unknown_backend_rejected(self):
-        shard_map = ShardMap.over(["f1"], 1)
-        with pytest.raises(DesignError):
-            ShardScheduler(shard_map, backend="fork-bomb")
+        with pytest.raises(RuntimeError, match="boom"):
+            scheduler.map_shards(explode)
+        assert ran == [0]  # the first failure ends the round's tasks
+
+    def test_a_runtime_starts_no_thread(self):
+        workload = build_workload()
+        before = threading.active_count()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, shards=4) as runtime:
+            runtime.propagate_typing(workload.typing)
+            runtime.seed("f1", tree_to_xml(workload.initial_documents["f1"]))
+            runtime.publish("f2", tree_to_xml(corrupt_document(workload.initial_documents["f2"])))
+            report = runtime.validate_locally()
+            assert not report.valid and report.peers_validated == PEERS
+            assert threading.active_count() == before
 
     def test_engine_stats_aggregate_across_shards(self):
         shard_map = ShardMap.over(["f1", "f2"], 2)
-        with ShardScheduler(shard_map, max_workers=2) as scheduler:
-            scheduler.engines[0].stats.record_miss("batch-validate")
-            scheduler.engines[1].stats.record_miss("batch-validate")
-            scheduler.engines[1].stats.record_hit("batch-validate")
-            totals = scheduler.engine_stats()
+        scheduler = ShardScheduler(shard_map)
+        scheduler.engines[0].stats.record_miss("batch-validate")
+        scheduler.engines[1].stats.record_miss("batch-validate")
+        scheduler.engines[1].stats.record_hit("batch-validate")
+        totals = scheduler.engine_stats()
         assert totals["by_kind"]["batch-validate"] == {"hits": 1, "misses": 2, "evictions": 0}
         assert totals["hits"] == 1 and totals["misses"] == 2
 
@@ -124,7 +146,7 @@ class TestParallelEqualsSerial:
         serial.network.reset()
         serial_report = serial.validate_locally()
 
-        with ValidationRuntime(parallel, max_workers=4) as runtime:
+        with ValidationRuntime(parallel) as runtime:
             runtime.propagate_typing(workload.typing)
             parallel.network.reset()
             runtime_report = runtime.validate_locally()
@@ -141,14 +163,14 @@ class TestParallelEqualsSerial:
         serial.update_resource("f3", bad)
         parallel.update_resource("f3", bad)
         assert not serial.validate_locally(workload.typing).valid
-        with ValidationRuntime(parallel, max_workers=4) as runtime:
+        with ValidationRuntime(parallel) as runtime:
             assert not runtime.validate_locally(workload.typing).valid
 
-    @pytest.mark.parametrize("max_workers", [1, 4, 16])
-    def test_pool_sizes_agree(self, max_workers):
+    @pytest.mark.parametrize("shards", [1, 4, 8])
+    def test_shard_counts_agree(self, shards):
         workload = build_workload(documents=20, invalid_rate=0.3, seed=11)
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=max_workers) as runtime:
+        with ValidationRuntime(document, shards=shards) as runtime:
             runtime.propagate_typing(workload.typing)
             document.network.reset()
             verdicts = [runtime.validate_locally().valid]
@@ -158,9 +180,9 @@ class TestParallelEqualsSerial:
             log = message_multiset(document.network.log)
             stats = runtime.stats.snapshot()
 
-        # The reference schedule: everything inline on one shard.
+        # The reference schedule: everything on one shard.
         reference = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(reference, max_workers=1, shards=1, backend="serial") as runtime:
+        with ValidationRuntime(reference, shards=1) as runtime:
             runtime.propagate_typing(workload.typing)
             reference.network.reset()
             expected = [runtime.validate_locally().valid]
@@ -177,7 +199,7 @@ class TestIncrementalRevalidation:
     def test_single_edit_revalidates_exactly_one_peer(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             first = runtime.validate_locally()
             assert first.peers_validated == PEERS
@@ -198,7 +220,7 @@ class TestIncrementalRevalidation:
     def test_equal_content_republication_stays_clean(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             # Fresh objects, equal content: the identity memo cannot see
             # this, the content fingerprint can.
@@ -213,7 +235,7 @@ class TestIncrementalRevalidation:
     def test_clean_rounds_ship_nothing(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             before = document.network.message_count
             for _ in range(3):
@@ -224,7 +246,7 @@ class TestIncrementalRevalidation:
     def test_force_revalidates_every_peer(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             report = runtime.validate_locally(force=True)
             assert report.peers_validated == PEERS
@@ -232,7 +254,7 @@ class TestIncrementalRevalidation:
     def test_propagating_a_typing_invalidates_acks(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             runtime.propagate_typing(workload.typing)
             report = runtime.validate_locally()
@@ -241,7 +263,7 @@ class TestIncrementalRevalidation:
     def test_verdict_flips_and_recovers(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             assert runtime.validate_locally(workload.typing).valid
             good = workload.initial_documents["f2"]
             runtime.update_document("f2", corrupt_document(good))
@@ -254,7 +276,7 @@ class TestIncrementalRevalidation:
     def test_dirty_peers_view(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             assert runtime.dirty_peers() == ()
             runtime.update_document("f4", corrupt_document(workload.initial_documents["f4"]))
@@ -265,7 +287,7 @@ class TestIncrementalRevalidation:
         # back) must not let the runtime reuse a stale cached ack.
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             assert runtime.validate_locally(workload.typing).valid
             document.update_resource("f2", corrupt_document(workload.initial_documents["f2"]))
             report = runtime.validate_locally()
@@ -277,7 +299,7 @@ class TestIncrementalRevalidation:
         # validators; cached acks for the old typing must not be reused.
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             assert runtime.validate_locally(workload.typing).valid
             strict = TreeTyping(
                 {f: DTD(default_root_name(f), {default_root_name(f): "never"}) for f in workload.typing}
@@ -291,7 +313,7 @@ class TestIncrementalRevalidation:
     def test_failed_round_requeues_pending_publications(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             # No typing propagated yet: the round must fail...
             runtime.publish("f1", tree_to_xml(corrupt_document(workload.initial_documents["f1"])))
             with pytest.raises(RuntimeError):
@@ -320,7 +342,7 @@ class TestWirePublish:
     def test_byte_identical_republication_is_dropped_unparsed(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
             for function, payload in payloads.items():
@@ -336,7 +358,7 @@ class TestWirePublish:
     def test_changed_bytes_revalidate_only_that_peer(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             for f, doc in workload.initial_documents.items():
                 runtime.publish(f, tree_to_xml(doc))
@@ -350,7 +372,7 @@ class TestWirePublish:
     def test_malformed_payload_counts_as_invalid(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             kept = document.resources["f1"].document
             runtime.publish("f1", "<root_f1><record></root_f1>")
@@ -371,7 +393,7 @@ class TestWirePublish:
     def test_typing_change_revalidates_from_the_retained_bytes(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             payload = tree_to_xml(workload.initial_documents["f1"])
             runtime.publish("f1", payload)
@@ -394,7 +416,7 @@ class TestWirePublish:
     def test_wire_publications_still_answer_and_materialise(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             for function, tree in workload.initial_documents.items():
                 runtime.publish(function, tree_to_xml(tree))
@@ -418,7 +440,7 @@ DECLARED_LATIN = '<?xml version="1.0" encoding="iso-8859-1"?><données><a/></don
 
 def latin_runtime():
     document = DistributedDocument(KernelTree("k(f1)"), {"f1": tree_from_xml("<données/>")})
-    runtime = ValidationRuntime(document, backend="serial")
+    runtime = ValidationRuntime(document)
     runtime.propagate_typing({"f1": latin_schema()})
     return runtime
 
@@ -468,7 +490,7 @@ class TestMalformedLatestPublication:
     def test_typing_change_keeps_the_malformed_verdict_and_fingerprint(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             runtime.publish("f1", self.MALFORMED)
             assert runtime.validate_locally().parse_failures == ("f1",)
@@ -489,9 +511,11 @@ class TestMalformedLatestPublication:
     def test_a_malformed_stream_is_kept_the_same_way(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=2) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             assert runtime.publish_stream("f1", self.MALFORMED).malformed
+            again = runtime.publish_stream("f1", self.MALFORMED)
+            assert again.clean and again.malformed
             runtime.propagate_typing(workload.typing)
             assert not runtime.validate_locally().valid
             assert runtime.peer_acks()["f1"] is False
@@ -500,10 +524,28 @@ class TestMalformedLatestPublication:
             with pytest.raises(DesignError, match="re-publish"):
                 runtime.validate_locally()
 
+    def test_a_republication_of_the_same_bytes_stays_malformed(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document) as runtime:
+            runtime.validate_locally(workload.typing)
+            runtime.publish("f1", self.MALFORMED)
+            assert runtime.validate_locally().parse_failures == ("f1",)
+            assert runtime.is_malformed("f1")
+            # Dropped unparsed and counted clean, yet still malformed.
+            assert runtime.publish("f1", self.MALFORMED)
+            assert runtime.is_malformed("f1")
+            again = runtime.publish_stream("f1", self.MALFORMED)
+            assert again.clean and again.malformed and not again.valid
+            assert runtime.stats.clean_publications == 2
+            runtime.publish("f1", tree_to_xml(workload.initial_documents["f1"]))
+            assert runtime.validate_locally().valid
+            assert not runtime.is_malformed("f1")
+
     def test_an_out_of_band_update_ends_it(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=2) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             runtime.publish("f1", self.MALFORMED)
             assert not runtime.validate_locally().valid
@@ -516,9 +558,8 @@ class TestTypingCompilation:
     def test_a_typing_compiles_in_the_calling_thread_and_every_compile_counts(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=4) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
-            assert runtime.scheduler._pool is None  # nothing was dispatched
             stats = runtime.engine_stats()["by_kind"]["schema-to-uta"]
             assert stats["hits"] + stats["misses"] == PEERS
             runtime.propagate_typing(workload.typing)
@@ -555,7 +596,7 @@ class TestFingerprints:
 class TestWorkloadDriver:
     def test_strategies_agree_and_runtime_validates_less(self):
         workload = build_workload(documents=20, invalid_rate=0.2, seed=3)
-        report = WorkloadDriver(workload, max_workers=4).run(
+        report = WorkloadDriver(workload).run(
             ("serial", "runtime", "centralized")
         )
         assert report.verdicts_agree
@@ -582,7 +623,7 @@ class TestWorkloadDriver:
 
     def test_report_summary_mentions_every_strategy(self):
         workload = build_workload(documents=12)
-        report = WorkloadDriver(workload, max_workers=2).run(("serial", "runtime"))
+        report = WorkloadDriver(workload).run(("serial", "runtime"))
         text = report.summary()
         assert "serial" in text and "runtime" in text
         assert "verdicts agree" in text

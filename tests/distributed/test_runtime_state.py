@@ -28,7 +28,7 @@ def build_runtime(workload, functions=None):
         document = DistributedDocument(KernelTree(term), documents)
     else:
         document = DistributedDocument(workload.kernel, documents)
-    runtime = ValidationRuntime(document, max_workers=2)
+    runtime = ValidationRuntime(document)
     runtime.propagate_typing(workload.typing)
     return runtime
 

@@ -25,7 +25,7 @@ def workload():
 @pytest.fixture
 def runtime(workload):
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, backend="serial") as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         yield runtime
 
@@ -227,7 +227,7 @@ class TestAbortWhileFeeding:
 
 class TestDriverStreamStrategy:
     def test_stream_strategy_agrees_with_serial(self, workload):
-        driver = WorkloadDriver(workload, max_workers=2, stream_chunk_bytes=256)
+        driver = WorkloadDriver(workload, stream_chunk_bytes=256)
         report = driver.run(("serial", "stream"))
         assert report.verdicts_agree
         stream = report.outcome("stream")

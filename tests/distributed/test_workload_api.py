@@ -8,7 +8,7 @@ from repro.cli import main
 
 class TestRunWorkload:
     def test_report_shape_and_agreement(self):
-        report = DesignSession.run_workload(peers=4, documents=12, workers=2, seed=5)
+        report = DesignSession.run_workload(peers=4, documents=12, seed=5)
         assert report.peers == 4
         assert report.documents == 12
         assert report.verdicts_agree
@@ -20,7 +20,7 @@ class TestRunWorkload:
 
     def test_centralized_strategy_opt_in(self):
         report = DesignSession.run_workload(
-            peers=3, documents=9, workers=2, strategies=("serial", "centralized")
+            peers=3, documents=9, strategies=("serial", "centralized")
         )
         assert report.outcome("centralized").bytes_shipped > report.outcome("serial").bytes_shipped
 
@@ -28,7 +28,7 @@ class TestRunWorkload:
 class TestCliDistributed:
     def test_subcommand_prints_summary(self, capsys):
         exit_code = main(
-            ["distributed", "--peers", "4", "--documents", "12", "--workers", "2"]
+            ["distributed", "--peers", "4", "--documents", "12", "--shards", "2"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0

@@ -165,7 +165,7 @@ def assert_all_drivers_agree(schema, tree, rng: random.Random, compiled=None):
 
 def runtime_for(schema, seed_tree):
     document = DistributedDocument(kernel("k(f1)"), {"f1": seed_tree})
-    runtime = ValidationRuntime(document, backend="serial")
+    runtime = ValidationRuntime(document)
     runtime.propagate_typing({"f1": schema})
     return runtime
 
@@ -419,7 +419,7 @@ class TestTableBounds:
     def test_runtime_engine_stats_count_the_label_automata(self):
         workload = distributed_workload(peers=2, documents=4, seed=3)
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=2) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.validate_locally(workload.typing)
             stats = runtime.engine_stats()["by_kind"]
         assert stats[LABEL_DFA_KIND]["misses"] > 0

@@ -37,7 +37,7 @@ def test_every_mode_answers_the_same_verdicts(mode):
         workload.kernel, workload.typing, workload.initial_documents, mode="serial"
     ) as baseline:
         expected = replay(baseline, workload)
-    config = ExecutionConfig(mode=mode, workers=2)
+    config = ExecutionConfig(mode=mode)
     with DesignSession(
         workload.kernel, workload.typing, workload.initial_documents, config
     ) as session:
@@ -56,7 +56,7 @@ def test_publish_stream_agrees_with_publish():
     payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
     for mode in ("runtime", "service"):
         with DesignSession(
-            workload.kernel, workload.typing, workload.initial_documents, mode=mode, workers=2
+            workload.kernel, workload.typing, workload.initial_documents, mode=mode
         ) as session:
             for function, payload in payloads.items():
                 streamed = session.publish_stream(function, payload.encode("utf-8"), chunk_bytes=64)
@@ -112,7 +112,7 @@ def test_runtime_trace_has_one_event_per_site():
     event = workload.events[0]
     trace_id = new_trace_id()
     with DesignSession(
-        workload.kernel, workload.typing, workload.initial_documents, mode="runtime", workers=2
+        workload.kernel, workload.typing, workload.initial_documents, mode="runtime"
     ) as session:
         session.publish(event.function, tree_to_xml(event.document), trace_id=trace_id)
         names = [entry["name"] for entry in session.trace(trace_id)]
@@ -124,6 +124,6 @@ class TestDesignFreeStatics:
     def test_the_new_statics_do_not_warn(self, recwarn):
         schema = dtd("r", {"r": "a*"})
         assert DesignSession.stream_validate(schema, "<r/>") is True
-        report = DesignSession.run_workload(peers=2, documents=4, workers=2)
+        report = DesignSession.run_workload(peers=2, documents=4)
         assert report.verdicts_agree
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]

@@ -42,7 +42,7 @@ def rounds_of(workload):
 
 def replay_in_process(workload):
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=2) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         verdicts = []
         for publications in rounds_of(workload):
@@ -60,7 +60,6 @@ def replay_through_federation(workload, spawn: str, pods: int = 2):
         workload.initial_documents,
         pods=pods,
         spawn=spawn,
-        workers=2,
     ) as federation:
         for publications in rounds_of(workload):
             for function, payload in publications:
@@ -114,7 +113,6 @@ def test_process_federation_pod_killed_and_respawned_mid_stream():
         workload.initial_documents,
         pods=2,
         spawn="process",
-        workers=2,
     ) as federation:
         for publications in rounds[:half]:
             for function, payload in publications:
@@ -141,7 +139,7 @@ def test_typing_change_keeps_published_documents():
     workload = build_workload(seed=3, invalid_rate=0.0)
     bad = tree_to_xml(corrupt_document(workload.initial_documents["f1"]))
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=2) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         runtime.publish("f1", bad)
         runtime.validate_locally()
@@ -167,7 +165,7 @@ def test_malformed_latest_publication_survives_a_typing_change():
     good = tree_to_xml(workload.initial_documents["f1"])
     malformed = "<root_f1><record></root_f1>"
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=2) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         runtime.publish("f1", good)
         runtime.validate_locally()
@@ -208,6 +206,32 @@ def test_malformed_publication_reaches_the_directory(verb):
         verdict = federation.global_verdict()
         assert verdict["complete"], verdict
         assert verdict["acks"]["f1"] is False and verdict["valid"] is False
+        assert federation.close()["clean"]
+
+
+def test_republished_malformed_bytes_answer_invalid_xml_every_time():
+    """The same malformed bytes again are clean, and answered like the first time."""
+    workload = build_workload(seed=3, invalid_rate=0.0)
+    malformed = "<root_f1><record></root_f1>"
+    document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+    with ValidationRuntime(document) as runtime:
+        runtime.propagate_typing(workload.typing)
+        for _ in range(2):
+            runtime.publish("f1", malformed)
+            runtime.validate_locally()
+        assert runtime.publish_stream("f1", malformed).malformed
+        expected_digest = runtime.state_digest()
+    with Federation(
+        workload.kernel, workload.typing, workload.initial_documents, pods=2, spawn="thread"
+    ) as federation:
+        for publish in (federation.publish, federation.publish, federation.publish_stream):
+            with pytest.raises(ServiceError) as excinfo:
+                publish("f1", malformed)
+            assert excinfo.value.code == "invalid-xml"
+            verdict = federation.global_verdict()
+            assert verdict["complete"], verdict
+            assert verdict["acks"]["f1"] is False and verdict["valid"] is False
+        assert federation.state_digest() == expected_digest
         assert federation.close()["clean"]
 
 

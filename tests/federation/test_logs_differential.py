@@ -34,7 +34,6 @@ def _publish_and_collect(workload, spawn):
         workload.initial_documents,
         pods=2,
         spawn=spawn,
-        workers=2,
         metrics=True,
     ) as federation:
         function = next(iter(workload.initial_documents))
@@ -104,7 +103,6 @@ def test_level_floor_filters_the_federation_story(workload):
         workload.initial_documents,
         pods=2,
         spawn="thread",
-        workers=2,
     ) as federation:
         function = next(iter(workload.initial_documents))
         trace_id = new_trace_id()
@@ -128,7 +126,6 @@ def test_untraced_logs_still_flow_without_a_trace_id(workload):
         workload.initial_documents,
         pods=2,
         spawn="thread",
-        workers=2,
     ) as federation:
         function = next(iter(workload.initial_documents))
         payload = tree_to_xml(workload.initial_documents[function])

@@ -38,7 +38,6 @@ def _spawn_and_trace(workload, spawn):
         workload.initial_documents,
         pods=2,
         spawn=spawn,
-        workers=2,
         metrics=True,
     ) as federation:
         function = next(iter(workload.initial_documents))
@@ -93,7 +92,6 @@ def test_distinct_publications_keep_distinct_traces(workload):
         workload.initial_documents,
         pods=2,
         spawn="thread",
-        workers=2,
     ) as federation:
         functions = list(workload.initial_documents)[:2]
         first_id, first = _lifecycle(federation, workload, functions[0])
@@ -112,7 +110,6 @@ def test_untraced_publications_leave_no_events(workload):
         workload.initial_documents,
         pods=2,
         spawn="thread",
-        workers=2,
     ) as federation:
         function = next(iter(workload.initial_documents))
         payload = tree_to_xml(workload.initial_documents[function])

@@ -34,7 +34,7 @@ def wedged_endpoint():
 @pytest.fixture
 def served():
     workload = distributed_workload(peers=4, documents=12, seed=5, invalid_rate=0.0)
-    server = ValidationServer(runtime_workers=2)
+    server = ValidationServer()
     server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
     with ServiceHandle(server).start() as handle:
         yield handle, workload

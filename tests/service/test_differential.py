@@ -39,7 +39,7 @@ def rounds_of(workload):
 
 def replay_in_process(workload) -> tuple[list[bool], dict[str, bool]]:
     document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-    with ValidationRuntime(document, max_workers=2) as runtime:
+    with ValidationRuntime(document) as runtime:
         runtime.propagate_typing(workload.typing)
         verdicts = []
         for publications in rounds_of(workload):
@@ -50,7 +50,7 @@ def replay_in_process(workload) -> tuple[list[bool], dict[str, bool]]:
 
 
 def replay_through_service(workload) -> tuple[list[bool], dict[str, bool]]:
-    server = ValidationServer(runtime_workers=2)
+    server = ValidationServer()
     server.preload_design("diff", workload.kernel, workload.typing, workload.initial_documents)
     with ServiceHandle(server).start() as handle:
         with ServiceClient(handle.host, handle.port) as client:
@@ -83,7 +83,7 @@ def test_service_replay_matches_in_process_runtime(seed, invalid_rate):
 def test_loadgen_closed_loop_reaches_the_same_final_state():
     workload = build_workload(seed=13, invalid_rate=0.2)
     expected_verdicts, expected_acks = replay_in_process(workload)
-    with ServiceHandle(ValidationServer(runtime_workers=2)).start() as handle:
+    with ServiceHandle(ValidationServer()).start() as handle:
         report = run_load(
             handle.host, handle.port, workload, design="lg", mode="closed", clients=3, pipeline=4
         )
@@ -99,7 +99,7 @@ def test_loadgen_closed_loop_reaches_the_same_final_state():
 
 def test_loadgen_open_loop_smoke():
     workload = build_workload(seed=2, invalid_rate=0.0)
-    with ServiceHandle(ValidationServer(runtime_workers=2)).start() as handle:
+    with ServiceHandle(ValidationServer()).start() as handle:
         report = run_load(
             handle.host, handle.port, workload, design="og", mode="open", clients=2, rate=2000.0
         )

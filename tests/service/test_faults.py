@@ -34,7 +34,7 @@ def workload():
 
 @pytest.fixture
 def served(workload):
-    server = ValidationServer(runtime_workers=2)
+    server = ValidationServer()
     server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
     with ServiceHandle(server).start() as handle:
         yield handle

@@ -142,6 +142,21 @@ class TestRegistry:
         assert snapshot["histograms"]["batch.size"]["max"] == 8.0
         assert snapshot["ledgers"]["wire.in"]["bytes"] == 128
 
+    def test_service_series_appear_only_once_recorded(self):
+        metrics = ServiceMetrics()
+        empty = metrics.snapshot()
+        assert empty["counters"] == {} and empty["histograms"] == {}
+        for _ in range(2):
+            metrics.record_request("publish", 0.001)
+            metrics.record_batch(4, 1, 0.001)
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"] == {
+            "batched_publications": 8, "batches": 2, "requests.publish": 2
+        }
+        assert snapshot["histograms"]["latency.publish"]["count"] == 2
+        assert snapshot["histograms"]["batch.size"]["count"] == 2
+        assert snapshot["families"]["repro_requests_total"] == {"op=publish": 2}
+
 
 class TestMetricFamilies:
     def test_name_convention_enforced(self):
@@ -161,6 +176,24 @@ class TestMetricFamilies:
             registry.counter_family("repro_things_total", "things", ("other",))
         with pytest.raises(ValueError):
             registry.gauge_family("repro_things_total", "things", ("op",))
+
+    def test_labels_must_name_exactly_the_family_labels(self):
+        registry = MetricsRegistry()
+        family = registry.counter_family("repro_ops_total", "ops", ("op", "design"))
+        family.labels(design="d1", op="publish").inc()  # keyword order is free
+        for wrong in (
+            {},
+            {"op": "publish"},
+            {"op": "publish", "pod": "p0"},
+            {"op": "publish", "design": "d1", "pod": "p0"},
+        ):
+            with pytest.raises(ValueError, match="takes labels"):
+                family.labels(**wrong)
+        with pytest.raises(ValueError, match="takes labels"):
+            registry.counter_family("repro_batches_total", "batches").labels(op="publish")
+        with pytest.raises(ValueError, match="repeats a label"):
+            registry.counter_family("repro_twice_total", "twice", ("op", "op"))
+        assert family.snapshot() == {"op=publish,design=d1": 1}
 
     def test_labeled_snapshot_is_deterministic(self):
         def build(order):

@@ -24,7 +24,7 @@ def workload():
 
 @pytest.fixture
 def handle(workload):
-    server = ValidationServer(runtime_workers=2, metrics_port=0)
+    server = ValidationServer(metrics_port=0)
     server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
     with ServiceHandle(server).start() as running:
         yield running
@@ -52,7 +52,7 @@ class TestCapabilities:
         assert limits["health"] is True  # metrics_port=0 exports health too
 
     def test_health_capability_tracks_exporter(self, workload):
-        server = ValidationServer(runtime_workers=2)
+        server = ValidationServer()
         server.preload_design(
             "d", workload.kernel, workload.typing, workload.initial_documents
         )
@@ -85,7 +85,7 @@ class TestEventOps:
         assert [event for event in logged if "trace" in event] == traced
 
     def test_trace_works_under_a_warning_floor(self, workload):
-        server = ValidationServer(runtime_workers=2, logger=LogRecorder(level="warning"))
+        server = ValidationServer(logger=LogRecorder(level="warning"))
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         payload = tree_to_xml(workload.initial_documents["f1"])
         with ServiceHandle(server).start() as handle:
@@ -170,7 +170,7 @@ class TestHealthEndpoints:
         # max_queue_depth=0 makes the admission check deterministically
         # fail (0 pending is not < 0): the server is alive but must not be
         # routed to.
-        server = ValidationServer(runtime_workers=2, metrics_port=0, max_queue_depth=0)
+        server = ValidationServer(metrics_port=0, max_queue_depth=0)
         server.preload_design(
             "d", workload.kernel, workload.typing, workload.initial_documents
         )
@@ -183,10 +183,9 @@ class TestHealthEndpoints:
             assert payload["checks"]["admission_queue"] is False
 
     def test_pod_and_directory_health(self, workload):
-        directory = DirectoryServer(runtime_workers=1, metrics_port=0)
+        directory = DirectoryServer(metrics_port=0)
         with ServiceHandle(directory).start() as dir_handle:
             pod = PodServer(
-                runtime_workers=1,
                 metrics_port=0,
                 pod_id="pod-0",
                 directory_host=dir_handle.host,
@@ -209,7 +208,7 @@ class TestHealthEndpoints:
             assert payload["checks"]["federation_leases"] is False
 
     def test_standalone_pod_lease_is_vacuously_fresh(self):
-        pod = PodServer(runtime_workers=1, pod_id="solo")
+        pod = PodServer(pod_id="solo")
         assert pod.lease_fresh() is True
         assert pod._readiness_checks()["lease_fresh"] is True
 

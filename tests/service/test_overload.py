@@ -31,7 +31,7 @@ def workload():
 
 
 def serve(workload, **options):
-    server = ValidationServer(runtime_workers=2, **options)
+    server = ValidationServer(runtime_shards=2, **options)
     server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
     return ServiceHandle(server).start()
 

@@ -37,7 +37,7 @@ def workload():
 
 @pytest.fixture
 def handle(workload):
-    server = ValidationServer(runtime_workers=2)
+    server = ValidationServer()
     server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
     with ServiceHandle(server).start() as running:
         yield running
@@ -114,7 +114,6 @@ class TestRegistration:
         assert result == {
             "design": "fresh",
             "peers": 2,
-            "workers": 2,
             "shards": 2,
             "valid": True,
         }
@@ -169,7 +168,7 @@ class TestRegistration:
         register_over_the_wire(client, workload, design="wired")
         served = handle.server.design("wired").runtime
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
-        with ValidationRuntime(document, max_workers=2) as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing(workload.typing)
             assert runtime.validate_locally().valid is True
             assert served.peer_acks() == runtime.peer_acks()
@@ -247,14 +246,19 @@ class TestPublish:
         assert client.ping()["pong"] is True
         assert client.revalidate("d")["valid"] is False  # f1's ack is now False
 
-    def test_republished_known_garbage_is_clean_but_invalid(self, client):
-        with pytest.raises(ServiceError):
-            client.publish("d", "f1", MALFORMED_XML)
-        # Same bytes again: the content is already known (and known bad) --
-        # served from the fingerprint fast path with the cached verdict.
-        result = client.publish("d", "f1", MALFORMED_XML)
-        assert result["clean"] is True
-        assert result["peer_valid"] is False and result["valid"] is False
+    def test_republished_garbage_answers_invalid_xml_every_time(self, client):
+        # The same bytes again are served from the fingerprint fast path
+        # (counted clean, never parsed), and answered like the first time.
+        for _ in range(2):
+            with pytest.raises(ServiceError) as excinfo:
+                client.publish("d", "f1", MALFORMED_XML)
+            assert excinfo.value.code == "invalid-xml"
+        with pytest.raises(ServiceError) as excinfo:
+            client.publish_stream("d", "f1", MALFORMED_XML)
+        assert excinfo.value.code == "invalid-xml"
+        runtime = client.stats()["designs"]["d"]["runtime"]
+        assert runtime["clean_publications"] == 2
+        assert client.revalidate("d")["valid"] is False
 
     def test_deeply_nested_publish_is_answered_and_later_publishes_still_settle(
         self, client, workload
@@ -279,7 +283,7 @@ class TestPublish:
         # f1 land in one micro-batch: the batch must split so the earlier
         # (malformed) payload is parsed and answered on its own, not
         # silently overwritten by the later one.
-        server = ValidationServer(runtime_workers=2, batch_window=0.05)
+        server = ValidationServer(batch_window=0.05)
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         with ServiceHandle(server).start() as handle:
 
@@ -343,7 +347,7 @@ class TestMalformedFramesOverTheWire:
 
     @pytest.fixture
     def small_frame_handle(self, workload):
-        server = ValidationServer(runtime_workers=2, max_frame_bytes=512)
+        server = ValidationServer(max_frame_bytes=512)
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         with ServiceHandle(server).start() as running:
             yield running
@@ -470,7 +474,7 @@ class TestAsyncClient:
 
 class TestGracefulShutdown:
     def test_shutdown_notifies_idle_connections(self, workload):
-        server = ValidationServer(runtime_workers=2)
+        server = ValidationServer()
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         with ServiceHandle(server).start() as handle:
             sock, stream = raw_connection(handle)
@@ -483,7 +487,7 @@ class TestGracefulShutdown:
         assert repro_threads() == []
 
     def test_shutdown_under_load_drains_in_flight_publications(self, workload):
-        server = ValidationServer(runtime_workers=2)
+        server = ValidationServer()
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         handle = ServiceHandle(server).start()
         payloads = [(f, payload_of(workload, f)) for f in workload.initial_documents]
@@ -520,7 +524,7 @@ class TestGracefulShutdown:
         assert settled >= 1
 
     def test_close_is_idempotent_and_leak_free(self, workload):
-        server = ValidationServer(runtime_workers=2)
+        server = ValidationServer()
         server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
         handle = ServiceHandle(server).start()
         with ServiceClient(handle.host, handle.port) as client:

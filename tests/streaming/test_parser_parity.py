@@ -145,7 +145,7 @@ def test_batch_validate_payload(schema, payload, expected):
 @pytest.mark.parametrize("chunk_bytes", CHUNKINGS)
 @pytest.mark.parametrize("schema, payload, expected", CASES)
 def test_runtime_publish_stream(schema, payload, expected, chunk_bytes):
-    with ValidationRuntime(build_document(), backend="serial") as runtime:
+    with ValidationRuntime(build_document()) as runtime:
         runtime.propagate_typing(typing())
         report = runtime.publish_stream(FUNCTIONS[schema], chunked(payload, chunk_bytes))
     assert report.malformed is (expected == INVALID_XML)
@@ -161,7 +161,7 @@ def test_element_fingerprint_equals_the_tree_fingerprint(schema, payload, expect
 def test_runtime_seed(schema, payload, expected):
     """A registration seed: the bytes path's outcome, the tree path's address."""
     function = FUNCTIONS[schema]
-    with ValidationRuntime(build_document(), backend="serial") as runtime:
+    with ValidationRuntime(build_document()) as runtime:
         runtime.propagate_typing(typing())
         runtime.seed(function, payload)
         report = runtime.validate_locally()
@@ -222,7 +222,7 @@ class TestEarlyRejection:
 
     def test_runtime_report_keeps_the_depth(self):
         document = DistributedDocument(kernel("s0(f1)"), {"f1": tree_from_xml(b"<s/>")})
-        with ValidationRuntime(document, backend="serial") as runtime:
+        with ValidationRuntime(document) as runtime:
             runtime.propagate_typing({"f1": self.SCHEMA})
             report = runtime.publish_stream("f1", self.PAYLOAD, chunk_bytes=5)
             assert (report.valid, report.malformed) == (False, False)

@@ -255,7 +255,7 @@ class TestBenchStream:
 
 class TestDistributed:
     def test_summary_output(self, capsys):
-        exit_code = main(["distributed", "--peers", "3", "--documents", "9", "--workers", "2"])
+        exit_code = main(["distributed", "--peers", "3", "--documents", "9", "--shards", "2"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "serial" in output and "runtime" in output
@@ -263,7 +263,7 @@ class TestDistributed:
 
     def test_json_output_is_machine_readable(self, capsys):
         exit_code = main(
-            ["distributed", "--peers", "3", "--documents", "9", "--workers", "2", "--json"]
+            ["distributed", "--peers", "3", "--documents", "9", "--shards", "2", "--json"]
         )
         assert exit_code == 0
         report = json.loads(capsys.readouterr().out)
@@ -488,7 +488,7 @@ class TestObservabilityCLI:
         from repro.workloads.synthetic import distributed_workload
 
         workload = distributed_workload(peers=2, documents=2, seed=3, invalid_rate=0.0)
-        server = ValidationServer(runtime_workers=2)
+        server = ValidationServer()
         server.preload_design(
             "workload", workload.kernel, workload.typing, workload.initial_documents
         )
