@@ -710,8 +710,8 @@ def _serve_until_shutdown(server, args: argparse.Namespace, role: str, extra=Non
         asyncio.run(serve())
     except KeyboardInterrupt:
         # Signal handler unavailable (non-unix): the loop died mid-flight
-        # with connections beyond help; still join executor and runtime
-        # threads so the process exits clean.
+        # with connections beyond help; still join the exporter and close
+        # the runtimes so the process exits clean.
         server.close_threads()
     if not args.json:
         print(f"{role} stopped")

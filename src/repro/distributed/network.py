@@ -49,9 +49,9 @@ LOG_CAPACITY = 4096
 class Network:
     """The message log shared by all peers of a simulation.
 
-    The log may be appended to from several threads (the service settles
-    rounds and streams on executor threads), so every mutation is
-    serialised by a lock.  It keeps only the most
+    The log may be appended to from several threads (each server settles
+    rounds and streams on its own event-loop thread), so every mutation
+    is serialised by a lock.  It keeps only the most
     recent :data:`LOG_CAPACITY` messages.  Message/byte totals of *every*
     message live in a :class:`~repro.service.metrics.TrafficLedger` -- the
     same counter implementation the network service uses for its socket

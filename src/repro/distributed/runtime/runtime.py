@@ -397,8 +397,8 @@ class ValidationRuntime:
         #: Serialises every mutation of (and consistent read over) the
         #: incremental state below.  Reentrant so a validation round may
         #: call ``propagate_typing`` while already holding it.  The lock
-        #: is what lets many streamed publications settle from different
-        #: executor threads without the service's global asyncio lock.
+        #: is what lets a streamed publication settle without the
+        #: service's global asyncio lock.
         self._state_lock = threading.RLock()
         #: function -> fingerprint of the current (possibly unvalidated)
         #: document; ``None`` means the content changed and has not been

@@ -101,9 +101,9 @@ class CompiledSchema:
         content models compile once across all schemas and peers.
 
     The label automata are shared, without locks, by every thread that
-    validates against this schema (the threads settling validation rounds,
-    executor threads feeding streams).  Their tables are filled with single dict operations, which
-    the GIL makes atomic, and are bounded: at most :attr:`state_capacity`
+    validates against this schema (the event-loop threads of the servers
+    in one process).  Their tables are filled with single dict operations,
+    which the GIL makes atomic, and are bounded: at most :attr:`state_capacity`
     interned states and :attr:`transition_capacity` successors per state.
     A full table is dropped and refilled on demand, counted as an eviction
     under the ``label-dfa`` kind of ``engine_stats``.

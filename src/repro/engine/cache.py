@@ -123,8 +123,8 @@ _MISSING = object()
 class LRUCache:
     """A least-recently-used mapping with bounded capacity and statistics.
 
-    The cache may be shared across threads (the service's executor threads
-    settle rounds and feed streams), so it must tolerate concurrent use --
+    The cache may be shared across threads (the servers of one process settle
+    rounds and feed streams on their loop threads), so it must tolerate concurrent use --
     but it sits on every engine hot path, so it takes no lock.  Safety
     rests on the GIL: each individual
     ``OrderedDict`` operation used here (``get``, ``__setitem__``,

@@ -337,20 +337,29 @@ class Federation:
         chunk_bytes: int = 65536,
         trace_id: Optional[str] = None,
     ) -> dict:
-        """Route one chunked streamed publication to the owning pod."""
+        """Route one chunked streamed publication to the owning pod.
+
+        Like :meth:`publish`, a stream the pod refuses as malformed is
+        still recorded as the function's latest payload.
+        """
         if not isinstance(payload, (str, bytes)):
             payload = b"".join(
                 chunk.encode("utf-8") if isinstance(chunk, str) else chunk
                 for chunk in payload
             )
         pod = self._pod_of(function)
-        result = pod.client.publish_stream(
-            self.design_id,
-            function,
-            payload,
-            chunk_bytes=chunk_bytes,
-            trace_id=trace_id,
-        )
+        try:
+            result = pod.client.publish_stream(
+                self.design_id,
+                function,
+                payload,
+                chunk_bytes=chunk_bytes,
+                trace_id=trace_id,
+            )
+        except ServiceError as error:
+            if error.code == "invalid-xml":
+                self._last_payload[function] = payload
+            raise
         self._last_payload[function] = payload
         return result
 

@@ -22,8 +22,8 @@ One counter implementation serves every accounting need of the system:
 The module sits beside :mod:`repro.engine` at the bottom of the layer
 stack on purpose: ``distributed`` and ``service`` both import it, never
 each other's accounting.  Everything here is synchronised with plain
-locks and safe to update from executor threads, shard tasks and the
-asyncio event loop thread alike.
+locks and safe to update from any server's event-loop thread and the
+metrics exporter's scrape thread alike.
 """
 
 from __future__ import annotations

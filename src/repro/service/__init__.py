@@ -8,9 +8,9 @@ in-process.  ``repro.service`` adds the actual service boundary:
   protocol (JSON body + raw-XML attachment, typed error frames);
 * :mod:`~repro.service.server` -- the asyncio TCP server with its
   admission controller (micro-batched publications over a
-  :class:`~repro.distributed.runtime.runtime.ValidationRuntime` on an
-  executor) and :class:`~repro.service.server.ServiceHandle` (a server on
-  its own thread for blocking callers);
+  :class:`~repro.distributed.runtime.runtime.ValidationRuntime`, run on
+  the event loop) and :class:`~repro.service.server.ServiceHandle` (a
+  server on its own thread for blocking callers);
 * :mod:`~repro.service.client` -- pipelined async and blocking clients;
 * :mod:`~repro.service.metrics` -- the service metrics registry, sharing
   one counter implementation (:mod:`repro.metrics`) with the simulated

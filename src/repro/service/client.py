@@ -461,7 +461,8 @@ class AsyncServiceClient(_RequestMixin):
             raise ServiceError("connection-closed", "the client is closed")
         self._next_id += 1
         request_id = self._next_id
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._pending[request_id] = future
         try:
             self._writer.write(protocol.request_frame(request_id, op, fields, blob))
@@ -471,13 +472,19 @@ class AsyncServiceClient(_RequestMixin):
             raise ServiceError("connection-closed", "the connection was lost mid-request") from None
         if self._timeout is None:
             return await future
+        deadline = loop.call_later(self._timeout, self._expire, request_id, op)
         try:
-            return await asyncio.wait_for(future, self._timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            raise ServiceError(
-                "timeout", f"no response to {op!r} within {self._timeout}s"
-            ) from None
+            return await future
+        finally:
+            deadline.cancel()
+
+    def _expire(self, request_id: int, op: str) -> None:
+        """Fail a request whose deadline passed; its late reply is dropped."""
+        future = self._pending.pop(request_id, None)
+        if future is not None and not future.done():
+            future.set_exception(
+                ServiceError("timeout", f"no response to {op!r} within {self._timeout}s")
+            )
 
     async def publish_with_retry(
         self,

@@ -48,6 +48,10 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 #: Chunk size used when draining the body of a rejected frame.
 _DRAIN_CHUNK = 65536
 
+#: The one JSON encoder of every frame body: compact and key-sorted, so
+#: equal bodies encode to equal bytes.  It keeps no state between calls.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 #: Error codes a client may safely retry (with backoff): the request was
 #: either never admitted (``overloaded`` -- the server shed it before any
 #: state changed) or its fate is unknown but re-publication is idempotent
@@ -150,7 +154,7 @@ class TruncatedFrameError(ProtocolError):
 
 def encode_frame(body: dict, blob: bytes = b"", version: int = PROTOCOL_VERSION) -> bytes:
     """Serialise one frame (header + JSON body + attachment)."""
-    encoded = json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    encoded = _ENCODER.encode(body).encode("utf-8")
     return _HEADER.pack(MAGIC, version, len(encoded), len(blob)) + encoded + blob
 
 

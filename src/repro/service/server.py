@@ -3,8 +3,12 @@
 :class:`ValidationServer` is a TCP server speaking the frame protocol of
 :mod:`repro.service.protocol`.  Each connection gets a reader loop; each
 request is answered by its own task, so a pipelined client can have many
-requests in flight on one connection.  All automaton work happens on a
-thread-pool executor -- the event loop never blocks on validation.
+requests in flight on one connection.  Every op calls the runtime on the
+event-loop thread: each call holds the GIL for its whole run (C parse,
+Python fold, hashing), so a thread pool would only add hand-offs.  The
+trade-off: an op holds the loop for its whole run, and no frame is read
+meanwhile; the longest are a max-size ``publish`` frame, fed whole to
+the stream ingest, and a large ``register_design``.
 
 The **admission controller** is the piece that makes ``publish`` scale:
 concurrently-pending publications are coalesced into micro-batches, each
@@ -17,9 +21,9 @@ acknowledgements.
 
 Shutdown is graceful: the listener closes first, queued publications are
 drained through a final batch, every still-open connection receives a
-typed ``shutting-down`` error frame, and the executor is joined and the
-per-design runtimes closed before :meth:`ValidationServer.aclose`
-returns -- no orphan threads, no lost in-flight work.
+typed ``shutting-down`` error frame, and the per-design runtimes are
+closed before :meth:`ValidationServer.aclose` returns -- no orphan
+threads, no lost in-flight work.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Optional, Union
@@ -75,7 +78,7 @@ _RATE_LIMITED_OPS = frozenset({"publish", "publish_stream_begin"})
 _JOIN_TIMEOUT = 30.0
 
 #: Seconds the runtime lock may stay continuously held before ``/readyz``
-#: reports the runtime as stalled (a wedged executor call).
+#: reports the runtime as stalled (a wedged runtime call).
 RUNTIME_STALL_SECONDS = 5.0
 
 #: Chatty read-path ops whose ``op`` event is ``debug``, so an ``info``
@@ -177,9 +180,9 @@ class AdmissionController:
     """Coalesce concurrently-pending publications into micro-batches.
 
     One loop task pulls from the queue; everything that queued up while
-    the previous batch was on the executor joins the next batch (up to
-    ``max_batch``), so burst traffic amortises validation rounds without
-    adding artificial latency.  ``batch_window`` optionally waits that
+    the previous batch ran joins the next batch (up to ``max_batch``), so
+    burst traffic amortises validation rounds without adding artificial
+    latency.  ``batch_window`` optionally waits that
     many seconds after the first publication of a batch to let stragglers
     join -- zero (the default) coalesces only what is already pending.
 
@@ -266,9 +269,7 @@ class AdmissionController:
         started = time.perf_counter()
         try:
             async with self._server._hold_runtime_lock():
-                settled = await self._server.run_in_executor(
-                    self._server.execute_publications, batch
-                )
+                settled = self._server.execute_publications(batch)
         except BaseException as error:  # never strand a future
             for item in batch:
                 if not item.future.done():
@@ -322,7 +323,6 @@ class ValidationServer:
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_batch: int = DEFAULT_MAX_BATCH,
         batch_window: float = 0.0,
-        executor_workers: int = 2,
         runtime_shards: Optional[int] = None,
         max_queue_depth: Optional[int] = DEFAULT_MAX_QUEUE_DEPTH,
         rate_limit: Optional[float] = None,
@@ -377,13 +377,10 @@ class ValidationServer:
         #: Injectable monotonic clock for deterministic rate-limit tests.
         self._bucket_clock = time.monotonic
         self._reaper_task: Optional[asyncio.Task] = None
-        #: Serialises every executor call that mutates a runtime (batches,
+        #: Serialises every op that mutates a runtime (batches,
         #: revalidation, registration) -- runtimes are not reentrant.
         self.runtime_lock = asyncio.Lock()
         self._designs: dict[str, RegisteredDesign] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, executor_workers), thread_name_prefix="repro-service"
-        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set["_Connection"] = set()
         self._conn_tasks: set[asyncio.Task] = set()
@@ -462,7 +459,6 @@ class ValidationServer:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        self._executor.shutdown(wait=True)
         for entry in self._designs.values():
             entry.close()
 
@@ -471,14 +467,14 @@ class ValidationServer:
 
         The last-resort path (e.g. a KeyboardInterrupt on a platform without
         loop signal handlers): connections and queued work are beyond help,
-        but the executor and per-design runtime pools can still be joined so
-        the process exits without orphan threads.
+        but the profiler and exporter threads can still be joined and the
+        per-design runtimes closed, so the process exits without orphan
+        threads.
         """
         self._closing = True
         self._closed = True
         self.profiler.stop()
         self._close_exporter()
-        self._executor.shutdown(wait=True)
         for entry in self._designs.values():
             entry.close()
 
@@ -491,9 +487,6 @@ class ValidationServer:
         """The exposition text ``/metrics`` serves (roles may add gauges)."""
         self.slo.refresh()
         return render_exposition(self.metrics.registry.collect())
-
-    async def run_in_executor(self, fn, *args):
-        return await asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
     @asynccontextmanager
     async def _hold_runtime_lock(self):
@@ -560,7 +553,7 @@ class ValidationServer:
         typing: TreeTyping,
         documents: Mapping[str, Union[Tree, str]],
     ) -> RegisteredDesign:
-        """Compile a design into a runtime (registry untouched, executor-safe).
+        """Compile a design into a runtime (registry untouched).
 
         Each document is a :class:`Tree` (:meth:`preload_design`) or, from
         ``register_design``, the document's text.  A text is seeded through
@@ -696,8 +689,8 @@ class ValidationServer:
                 expired = [
                     stream_id
                     for stream_id, state in connection.streams.items()
-                    # A held lock means a chunk is mid-feed on the executor:
-                    # that stream is alive no matter what ``touched`` says.
+                    # A held lock means a frame of this stream is being
+                    # answered: it is alive no matter what ``touched`` says.
                     if not state.lock.locked() and now - state.touched > self.stream_ttl
                 ]
                 for stream_id in expired:
@@ -979,8 +972,9 @@ class ValidationServer:
         documents = body["documents"]
         if not isinstance(schemas, dict) or not isinstance(documents, dict):
             raise OpError("bad-request", "'schemas' and 'documents' must be objects")
-
-        def build() -> RegisteredDesign:
+        if not all(isinstance(text, str) for text in documents.values()):
+            raise OpError("bad-request", "'documents' must map functions to XML text")
+        async with self._hold_runtime_lock():
             try:
                 kernel = KernelTree(parse_term(body["kernel"]))
                 types = {}
@@ -991,19 +985,11 @@ class ValidationServer:
                         )
                     else:
                         types[function] = parse_dtd_text(schema)
-                if not all(isinstance(text, str) for text in documents.values()):
-                    raise OpError("bad-request", "'documents' must map functions to XML text")
-                return self.build_design(design_id, kernel, TreeTyping(types), documents)
-            except OpError:
-                raise
+                entry = self.build_design(design_id, kernel, TreeTyping(types), documents)
             except InvalidXMLError as error:
                 raise OpError("invalid-xml", str(error)) from None
             except ReproError as error:
                 raise OpError("bad-request", str(error)) from None
-
-        async with self._hold_runtime_lock():
-            # Compile off the loop; mutate the registry back on it.
-            entry = await self.run_in_executor(build)
             self.install_design(entry)
         self.logger.info(
             "design.register",
@@ -1044,23 +1030,17 @@ class ValidationServer:
         """Settle one oversized ``publish`` through the streaming ingest.
 
         Bypasses the micro-batch queue entirely: the payload is hashed and
-        DFA-stepped in O(depth) memory on the executor, and settlement
-        takes only the runtime's internal state lock -- large documents
-        neither occupy the admission queue nor stall a batch behind a
-        multi-second parse.
+        DFA-stepped in O(depth) memory, and settlement takes only the
+        runtime's internal state lock -- large documents never occupy the
+        admission queue.
         """
         shard = self._acquire_stream_slot(entry, function)
         try:
-
-            def settle():
-                ingest = entry.runtime.begin_stream(function)
-                ingest.feed(payload)
-                return entry.runtime.settle_stream(ingest, trace_id=trace_id)
-
-            try:
-                report, verdict = await self.run_in_executor(settle)
-            except ReproError as error:  # unknown function
-                raise OpError("unknown-function", str(error)) from None
+            ingest = entry.runtime.begin_stream(function)
+            ingest.feed(payload)
+            report, verdict = entry.runtime.settle_stream(ingest, trace_id=trace_id)
+        except ReproError as error:  # unknown function
+            raise OpError("unknown-function", str(error)) from None
         finally:
             self._release_stream_slot(entry, shard)
         self.metrics.record_inline_stream()
@@ -1078,7 +1058,7 @@ class ValidationServer:
     def execute_publications(self, batch: list[_Publication]) -> list[tuple[_Publication, object]]:
         """Ingest one micro-batch and settle it with as few rounds as possible.
 
-        Runs on the executor with :attr:`runtime_lock` held.  Per design:
+        Runs on the event loop with :attr:`runtime_lock` held.  Per design:
         every payload goes through the runtime's wire ingest (hash before
         parse), then a single validation round settles all dirty peers at
         once; if *every* publication was byte-identical to validated
@@ -1207,7 +1187,7 @@ class ValidationServer:
         connection.reaped.discard(stream_id)
         if blob:
             async with state.lock:
-                await self.run_in_executor(state.ingest.feed, blob)
+                state.ingest.feed(blob)
                 state.received += len(blob)
         return {"design": design_id, "function": function, "stream": stream_id,
                 "received": state.received}
@@ -1215,10 +1195,9 @@ class ValidationServer:
     async def _stream_chunk(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
         if blob:
-            # DFA stepping happens off the loop; the per-stream lock keeps
-            # chunks in arrival order.
+            # The per-stream lock keeps chunks in arrival order.
             async with state.lock:
-                await self.run_in_executor(state.ingest.feed, blob)
+                state.ingest.feed(blob)
                 state.received += len(blob)
         return {"stream": body["stream"], "received": state.received}
 
@@ -1228,15 +1207,12 @@ class ValidationServer:
         try:
             async with state.lock:
                 if blob:
-                    await self.run_in_executor(state.ingest.feed, blob)
+                    state.ingest.feed(blob)
                     state.received += len(blob)
-                # Settlement mutates the runtime's incremental state, but
-                # only briefly: the runtime's own state lock serialises it
-                # against batches and other streams, so concurrent streams
-                # on different connections settle in parallel up to that
-                # short critical section -- no global asyncio lock held.
-                report, verdict = await self.run_in_executor(
-                    state.entry.runtime.settle_stream, state.ingest, state.trace_id
+                # Settlement takes the runtime's own state lock, not
+                # :attr:`runtime_lock`.
+                report, verdict = state.entry.runtime.settle_stream(
+                    state.ingest, state.trace_id
                 )
         finally:
             self._release_stream_slot(state.entry, state.shard)
@@ -1263,46 +1239,40 @@ class ValidationServer:
         if peer.validator is None:  # pragma: no cover - registration always propagates
             raise OpError("bad-request", f"no local type propagated to {function!r}")
         payload = blob if blob else str(body.get("payload", "")).encode("utf-8")
-
-        def check() -> dict:
-            try:
-                valid = peer.validator.validate_payload(payload)
-            except InvalidXMLError as error:
-                raise OpError("invalid-xml", f"payload for {function!r}: {error}") from None
-            return {"design": entry.design_id, "function": function, "valid": valid}
-
         # Read-only on a compiled validator: no runtime lock needed.
-        return await self.run_in_executor(check)
+        try:
+            valid = peer.validator.validate_payload(payload)
+        except InvalidXMLError as error:
+            raise OpError("invalid-xml", f"payload for {function!r}: {error}") from None
+        return {"design": entry.design_id, "function": function, "valid": valid}
 
     async def _revalidate(self, body: dict) -> dict:
         entry = self.design(body["design"])
         force = bool(body.get("force", False))
-
-        def run() -> dict:
-            report = entry.runtime.validate_locally(force=force)
-            return {
-                "design": entry.design_id,
-                "valid": report.valid,
-                "peers_validated": report.peers_validated,
-                "peers_skipped": report.peers_skipped,
-                "messages": report.messages,
-                "bytes_shipped": report.bytes_shipped,
-                "wall_ms": report.wall_seconds * 1000.0,
-                "parse_failures": list(report.parse_failures),
-            }
-
         async with self._hold_runtime_lock():
-            return await self.run_in_executor(run)
+            report = entry.runtime.validate_locally(force=force)
+        return {
+            "design": entry.design_id,
+            "valid": report.valid,
+            "peers_validated": report.peers_validated,
+            "peers_skipped": report.peers_skipped,
+            "messages": report.messages,
+            "bytes_shipped": report.bytes_shipped,
+            "wall_ms": report.wall_seconds * 1000.0,
+            "parse_failures": list(report.parse_failures),
+        }
 
 
 class _Connection:
-    """One accepted socket: a writer plus its write lock and accounting."""
+    """One accepted socket: a writer plus its drain lock and accounting."""
 
-    __slots__ = ("_server", "_writer", "_lock", "streams", "peer_host", "reaped")
+    __slots__ = ("_server", "_writer", "_high_water", "_lock", "streams", "peer_host", "reaped")
 
     def __init__(self, server: ValidationServer, writer: asyncio.StreamWriter) -> None:
         self._server = server
         self._writer = writer
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
+        #: Serialises ``drain()`` waits: older Pythons allow one at a time.
         self._lock = asyncio.Lock()
         #: Open chunked-publication streams, keyed by client stream id.  An
         #: unfinished stream dies with its connection: nothing was settled,
@@ -1323,13 +1293,18 @@ class _Connection:
         self.reaped.add(stream_id)
 
     async def send_safely(self, frame: bytes) -> None:
-        """Write one frame; a peer that vanished is not an error."""
+        """Write one frame; a peer that vanished is not an error.
+
+        Waits for the transport to drain only above its high-water mark.
+        """
+        writer = self._writer
         try:
-            async with self._lock:
-                if self._writer.is_closing():
-                    return
-                self._writer.write(frame)
-                await self._writer.drain()
+            if writer.is_closing():
+                return
+            writer.write(frame)
+            if writer.transport.get_write_buffer_size() > self._high_water:
+                async with self._lock:
+                    await writer.drain()
             self._server.metrics.outbound.record(len(frame))
         except (ConnectionError, RuntimeError):
             pass
@@ -1390,8 +1365,8 @@ class ServiceHandle:
         except BaseException as error:
             self._startup_error = error
             try:
-                # Joins the executor and any preloaded design runtimes, so a
-                # failed bind leaks nothing into the caller's process.
+                # Closes any preloaded design runtimes and the exporter, so
+                # a failed bind leaks nothing into the caller's process.
                 await self.server.aclose()
             except BaseException:  # pragma: no cover - cleanup best effort
                 pass

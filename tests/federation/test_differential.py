@@ -159,7 +159,8 @@ def test_typing_change_keeps_published_documents():
         assert federation.close()["clean"]
 
 
-def test_malformed_latest_publication_survives_a_typing_change():
+@pytest.mark.parametrize("verb", ["publish", "publish_stream"])
+def test_malformed_latest_publication_survives_a_typing_change(verb):
     """A malformed latest publication stays ``False``, with its fingerprint, under a new typing."""
     workload = build_workload(seed=3, invalid_rate=0.0)
     good = tree_to_xml(workload.initial_documents["f1"])
@@ -169,7 +170,7 @@ def test_malformed_latest_publication_survives_a_typing_change():
         runtime.propagate_typing(workload.typing)
         runtime.publish("f1", good)
         runtime.validate_locally()
-        runtime.publish("f1", malformed)
+        getattr(runtime, verb)("f1", malformed)
         runtime.validate_locally()
         runtime.propagate_typing(workload.typing)
         expected = runtime.validate_locally().valid
@@ -180,7 +181,7 @@ def test_malformed_latest_publication_survives_a_typing_change():
     ) as federation:
         assert federation.publish("f1", good)["peer_valid"] is True
         with pytest.raises(ServiceError) as excinfo:
-            federation.publish("f1", malformed)
+            getattr(federation, verb)("f1", malformed)
         assert excinfo.value.code == "invalid-xml"
         federation.propagate_typing(workload.typing)
         verdict = federation.global_verdict()

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.service import protocol
 from repro.service.client import AsyncServiceClient, RetryPolicy, ServiceClient, ServiceError
 from repro.service.protocol import RETRYABLE_CODES
 from repro.service.server import ServiceHandle, ValidationServer
@@ -29,6 +30,19 @@ def wedged_endpoint():
         yield sock.getsockname()
     finally:
         sock.close()
+
+
+async def answering_server(delays: dict[int, float]):
+    """A loopback server answering each request with its id, ``delays[id]`` seconds late."""
+
+    async def on_connection(reader, writer):
+        while (frame := await protocol.read_frame(reader)) is not None:
+            request_id = frame[0]["id"]
+            await asyncio.sleep(delays.get(request_id, 0.0))
+            writer.write(protocol.result_frame(request_id, {"answered": request_id}))
+        writer.close()
+
+    return await asyncio.start_server(on_connection, "127.0.0.1", 0)
 
 
 @pytest.fixture
@@ -68,6 +82,45 @@ class TestReadDeadlines:
         error = asyncio.run(scenario())
         assert error.code == "timeout"
         assert error.retryable is True
+
+    def test_answered_calls_leave_no_deadline_armed(self):
+        async def scenario() -> list:
+            server = await answering_server({})
+            client = await AsyncServiceClient.connect(
+                *server.sockets[0].getsockname()[:2], timeout=5.0
+            )
+            try:
+                for request_id in range(1, 201):
+                    assert await client.ping() == {"answered": request_id}
+                loop = asyncio.get_running_loop()
+                return [handle for handle in loop._scheduled if not handle.cancelled()]
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        assert asyncio.run(scenario()) == []
+
+    def test_late_reply_is_dropped_and_the_client_stays_usable(self):
+        async def scenario() -> None:
+            server = await answering_server({1: 0.4})
+            client = await AsyncServiceClient.connect(
+                *server.sockets[0].getsockname()[:2], timeout=0.2
+            )
+            try:
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.ping()
+                assert excinfo.value.code == "timeout"
+                await asyncio.sleep(0.4)  # request 1's reply lands meanwhile
+                assert client._pending == {}
+                assert await client.ping() == {"answered": 2}
+                assert await client.stats() == {"answered": 3}
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
     def test_timeout_none_means_no_deadline(self, served):
         handle, _workload = served

@@ -532,3 +532,26 @@ class TestGracefulShutdown:
         handle.close()
         handle.close()
         assert repro_threads() == []
+
+
+class TestThreads:
+    def test_ops_start_no_thread_beside_the_loop(self, workload):
+        """Every op's runtime work runs on the loop thread: no executor thread ever exists."""
+        before = set(threading.enumerate())
+        started: set[threading.Thread] = set()
+        with ServiceHandle(ValidationServer()).start() as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                steps = [
+                    lambda: register_over_the_wire(client, workload),
+                    lambda: client.publish("d", "f1", payload_of(workload, "f1")),
+                    lambda: client.publish_stream(
+                        "d", "f2", payload_of(workload, "f2"), chunk_bytes=64
+                    ),
+                    lambda: client.validate("d", "f3", payload_of(workload, "f3")),
+                    lambda: client.revalidate("d", force=True),
+                ]
+                for step in steps:
+                    assert step()["valid"] is True
+                    started |= set(threading.enumerate()) - before
+        assert sorted(thread.name for thread in started) == ["repro-service-loop"]
+        assert repro_threads() == []
