@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream-inline-threshold",
         type=int,
         default=None,
-        help="publish payloads at least this many bytes settle via streaming ingest (default 1 MiB)",
+        help="publish and validate payloads at least this many bytes are streamed (default 1 MiB)",
     )
     serve.add_argument(
         "--max-streams-per-shard",

@@ -36,7 +36,7 @@ import tempfile
 import time
 import urllib.request
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.core.kernel import KernelTree
 from repro.distributed.runtime.runtime import merge_states, state_digest_of
@@ -312,23 +312,12 @@ class Federation:
     def publish(
         self, function: str, payload: Union[str, bytes], trace_id: Optional[str] = None
     ) -> dict:
-        """Route one wire publication to the owning pod.
-
-        The payload is recorded as the function's latest even when the pod
-        refuses it as malformed: a typing change replays it, so the peer
-        stays invalid, as a single runtime keeps it.
-        """
-        pod = self._pod_of(function)
-        try:
-            result = pod.client.publish(
-                self.design_id, function, payload, trace_id=trace_id
-            )
-        except ServiceError as error:
-            if error.code == "invalid-xml":
-                self._last_payload[function] = payload
-            raise
-        self._last_payload[function] = payload
-        return result
+        """Route one wire publication to the owning pod."""
+        return self._route(
+            function,
+            payload,
+            lambda client: client.publish(self.design_id, function, payload, trace_id=trace_id),
+        )
 
     def publish_stream(
         self,
@@ -337,25 +326,32 @@ class Federation:
         chunk_bytes: int = 65536,
         trace_id: Optional[str] = None,
     ) -> dict:
-        """Route one chunked streamed publication to the owning pod.
-
-        Like :meth:`publish`, a stream the pod refuses as malformed is
-        still recorded as the function's latest payload.
-        """
+        """Route one chunked streamed publication to the owning pod."""
         if not isinstance(payload, (str, bytes)):
             payload = b"".join(
                 chunk.encode("utf-8") if isinstance(chunk, str) else chunk
                 for chunk in payload
             )
-        pod = self._pod_of(function)
+        return self._route(
+            function,
+            payload,
+            lambda client: client.publish_stream(
+                self.design_id, function, payload, chunk_bytes=chunk_bytes, trace_id=trace_id
+            ),
+        )
+
+    def _route(
+        self, function: str, payload: Union[str, bytes], send: Callable[[ServiceClient], dict]
+    ) -> dict:
+        """``send`` one publication through the owning pod's client.
+
+        The payload is recorded as the function's latest, also when the
+        pod refuses it as malformed: a typing change replays it, so the
+        peer stays invalid, as a single runtime keeps it.
+        """
+        client = self._pod_of(function).client
         try:
-            result = pod.client.publish_stream(
-                self.design_id,
-                function,
-                payload,
-                chunk_bytes=chunk_bytes,
-                trace_id=trace_id,
-            )
+            result = send(client)
         except ServiceError as error:
             if error.code == "invalid-xml":
                 self._last_payload[function] = payload

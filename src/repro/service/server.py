@@ -6,9 +6,12 @@ request is answered by its own task, so a pipelined client can have many
 requests in flight on one connection.  Every op calls the runtime on the
 event-loop thread: each call holds the GIL for its whole run (C parse,
 Python fold, hashing), so a thread pool would only add hand-offs.  The
-trade-off: an op holds the loop for its whole run, and no frame is read
-meanwhile; the longest are a max-size ``publish`` frame, fed whole to
-the stream ingest, and a large ``register_design``.
+trade-off: a runtime call holds the loop for its whole run, and no frame
+is read meanwhile.  Stream feeds yield to the loop every
+:data:`FEED_SLICE_BYTES`, so a large ``publish``, chunk or ``validate``
+lets other connections in between its slices; the longest uninterrupted
+runs are a large ``register_design``, a forced ``revalidate`` and a
+micro-batch of publications just under the inline-stream threshold.
 
 The **admission controller** is the piece that makes ``publish`` scale:
 concurrently-pending publications are coalesced into micro-batches, each
@@ -20,10 +23,9 @@ validation rounds -- the verdict is re-derived from cached
 acknowledgements.
 
 Shutdown is graceful: the listener closes first, queued publications are
-drained through a final batch, every still-open connection receives a
-typed ``shutting-down`` error frame, and the per-design runtimes are
-closed before :meth:`ValidationServer.aclose` returns -- no orphan
-threads, no lost in-flight work.
+drained through a final batch, and every still-open connection receives a
+typed ``shutting-down`` error frame before :meth:`ValidationServer.aclose`
+returns -- no orphan threads, no lost in-flight work.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from contextlib import asynccontextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Optional, Union
 
@@ -47,6 +49,7 @@ from repro.observability.slo import SloEvaluator
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
+from repro.streaming.machine import streaming_validator_for
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
 
@@ -63,11 +66,17 @@ DEFAULT_MAX_QUEUE_DEPTH = 1024
 DEFAULT_STREAM_TTL = 120.0
 
 #: Default payload size (bytes) at which a whole-frame ``publish`` is
-#: routed through the streaming ingest instead of the micro-batch queue.
+#: routed through the streaming ingest instead of the micro-batch queue,
+#: and a ``validate`` through a streaming run.
 DEFAULT_STREAM_INLINE_THRESHOLD = 1 << 20
 
 #: Default per-shard ceiling on concurrently-open wire streams.
 DEFAULT_MAX_STREAMS_PER_SHARD = 64
+
+#: Payload bytes a stream is fed per event-loop turn (about 2 ms of
+#: parsing), so a large document does not stall every other connection
+#: while it streams.
+FEED_SLICE_BYTES = 1 << 14
 
 #: Operations the per-client token bucket meters: the ones that admit new
 #: content into a runtime.  Reads, chunk traffic on an already-admitted
@@ -77,8 +86,8 @@ _RATE_LIMITED_OPS = frozenset({"publish", "publish_stream_begin"})
 #: How long :meth:`ServiceHandle.close` waits for the server thread.
 _JOIN_TIMEOUT = 30.0
 
-#: Seconds the runtime lock may stay continuously held before ``/readyz``
-#: reports the runtime as stalled (a wedged runtime call).
+#: Seconds one runtime call may run before ``/readyz`` reports the
+#: runtime as stalled (a wedged runtime call).
 RUNTIME_STALL_SECONDS = 5.0
 
 #: Chatty read-path ops whose ``op`` event is ``debug``, so an ``info``
@@ -88,6 +97,14 @@ _QUIET_OPS = frozenset({"ping", "stats", "trace", "logs", "publish_stream_chunk"
 #: The server-side name for a typed request failure: the same class the
 #: clients raise when they receive the resulting error frame.
 OpError = protocol.ServiceError
+
+
+async def _feed(target, data: bytes) -> None:
+    """Feed ``data`` to a stream ingest or run, one slice per loop turn."""
+    for start in range(0, len(data), FEED_SLICE_BYTES):
+        if start:
+            await asyncio.sleep(0)
+        target.feed(data[start:start + FEED_SLICE_BYTES])
 
 
 @dataclass
@@ -100,9 +117,6 @@ class RegisteredDesign:
     #: shard index -> number of wire streams currently holding a slot.
     #: Mutated only from the event loop thread, like the registry itself.
     open_streams_by_shard: dict = field(default_factory=dict)
-
-    def close(self) -> None:
-        self.runtime.close()
 
     def describe(self) -> dict:
         return {
@@ -142,10 +156,10 @@ class TokenBucket:
 class _StreamState:
     """One in-flight chunked publication on one connection.
 
-    ``lock`` serialises the stream's chunk/end requests: request tasks are
-    created in frame-arrival order and reach the lock before their first
-    await, so FIFO acquisition preserves chunk order even though every
-    request runs in its own task.
+    ``lock`` serialises the stream's chunk/end requests, whose feeds yield
+    between slices: request tasks are created in frame-arrival order and
+    reach the lock before their first await, so FIFO acquisition preserves
+    chunk order even though every request runs in its own task.
     """
 
     entry: RegisteredDesign
@@ -268,7 +282,7 @@ class AdmissionController:
         depth = self._queue.qsize()
         started = time.perf_counter()
         try:
-            async with self._server._hold_runtime_lock():
+            with self._server._runtime_busy():
                 settled = self._server.execute_publications(batch)
         except BaseException as error:  # never strand a future
             for item in batch:
@@ -347,8 +361,8 @@ class ValidationServer:
         )
         #: Idle seconds before an abandoned stream is reaped (None: never).
         self.stream_ttl = stream_ttl
-        #: ``publish`` payloads at least this big go through the streaming
-        #: ingest, so the whole-frame path no longer bounds document size.
+        #: ``publish`` and ``validate`` payloads at least this big are
+        #: streamed a slice per loop turn; such a publish skips the queue.
         self.stream_inline_threshold = stream_inline_threshold
         #: Ceiling on concurrently-open wire streams per runtime shard.
         self.max_streams_per_shard = max_streams_per_shard
@@ -367,8 +381,8 @@ class ValidationServer:
         self.slo = SloEvaluator(self.metrics)
         #: The live sampling profiler driven by the ``profile`` wire op.
         self.profiler = SamplingProfiler()
-        #: Monotonic stamp while the runtime lock is held (``/readyz``
-        #: calls the runtime stalled past RUNTIME_STALL_SECONDS).
+        #: Monotonic stamp while a batch, registration or revalidation runs
+        #: (``/readyz`` calls the runtime stalled past RUNTIME_STALL_SECONDS).
         self._runtime_busy_since: Optional[float] = None
         self.admission = AdmissionController(
             self, max_batch, batch_window, max_queue_depth=max_queue_depth
@@ -377,9 +391,6 @@ class ValidationServer:
         #: Injectable monotonic clock for deterministic rate-limit tests.
         self._bucket_clock = time.monotonic
         self._reaper_task: Optional[asyncio.Task] = None
-        #: Serialises every op that mutates a runtime (batches,
-        #: revalidation, registration) -- runtimes are not reentrant.
-        self.runtime_lock = asyncio.Lock()
         self._designs: dict[str, RegisteredDesign] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set["_Connection"] = set()
@@ -459,24 +470,19 @@ class ValidationServer:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        for entry in self._designs.values():
-            entry.close()
 
     def close_threads(self) -> None:
         """Best-effort synchronous cleanup when the event loop is already gone.
 
         The last-resort path (e.g. a KeyboardInterrupt on a platform without
         loop signal handlers): connections and queued work are beyond help,
-        but the profiler and exporter threads can still be joined and the
-        per-design runtimes closed, so the process exits without orphan
-        threads.
+        but the profiler and exporter threads can still be joined, so the
+        process exits without orphan threads.
         """
         self._closing = True
         self._closed = True
         self.profiler.stop()
         self._close_exporter()
-        for entry in self._designs.values():
-            entry.close()
 
     def _close_exporter(self) -> None:
         exporter, self._exporter = self._exporter, None
@@ -488,15 +494,14 @@ class ValidationServer:
         self.slo.refresh()
         return render_exposition(self.metrics.registry.collect())
 
-    @asynccontextmanager
-    async def _hold_runtime_lock(self):
-        """:attr:`runtime_lock` plus the busy stamp ``/readyz`` inspects."""
-        async with self.runtime_lock:
-            self._runtime_busy_since = time.monotonic()
-            try:
-                yield
-            finally:
-                self._runtime_busy_since = None
+    @contextmanager
+    def _runtime_busy(self):
+        """Stamp the runtime busy for ``/readyz`` (no lock: these calls never await)."""
+        self._runtime_busy_since = time.monotonic()
+        try:
+            yield
+        finally:
+            self._runtime_busy_since = None
 
     # ------------------------------------------------------------------ #
     # health and readiness
@@ -568,32 +573,23 @@ class ValidationServer:
             kernel, {f: None if f in texts else tree for f, tree in documents.items()}
         )
         runtime = ValidationRuntime(document, shards=self.runtime_shards, logger=self.logger)
-        try:
-            runtime.propagate_typing(typing)
-            for function in document.resources:
-                if function in texts:
-                    runtime.seed(function, texts[function])
-            report = runtime.validate_locally()
-            if report.parse_failures:
-                raise InvalidXMLError(
-                    f"initial document for {report.parse_failures[0]!r} is not XML"
-                )
-        except BaseException:
-            runtime.close()
-            raise
+        runtime.propagate_typing(typing)
+        for function in document.resources:
+            if function in texts:
+                runtime.seed(function, texts[function])
+        report = runtime.validate_locally()
+        if report.parse_failures:
+            raise InvalidXMLError(f"initial document for {report.parse_failures[0]!r} is not XML")
         return RegisteredDesign(design_id, document, runtime)
 
     def install_design(self, entry: RegisteredDesign) -> RegisteredDesign:
-        """Put a built design into the registry, closing any predecessor.
+        """Put a built design into the registry, replacing any predecessor.
 
         The registry is only ever mutated here, and only from the event
         loop thread (or before :meth:`start`) -- ``stats``/``ping`` iterate
         it on the loop without a lock.
         """
-        previous = self._designs.get(entry.design_id)
         self._designs[entry.design_id] = entry
-        if previous is not None:
-            previous.close()
         return entry
 
     def preload_design(
@@ -690,7 +686,7 @@ class ValidationServer:
                     stream_id
                     for stream_id, state in connection.streams.items()
                     # A held lock means a frame of this stream is being
-                    # answered: it is alive no matter what ``touched`` says.
+                    # fed: it is alive no matter what ``touched`` says.
                     if not state.lock.locked() and now - state.touched > self.stream_ttl
                 ]
                 for stream_id in expired:
@@ -974,7 +970,7 @@ class ValidationServer:
             raise OpError("bad-request", "'schemas' and 'documents' must be objects")
         if not all(isinstance(text, str) for text in documents.values()):
             raise OpError("bad-request", "'documents' must map functions to XML text")
-        async with self._hold_runtime_lock():
+        with self._runtime_busy():
             try:
                 kernel = KernelTree(parse_term(body["kernel"]))
                 types = {}
@@ -1030,14 +1026,13 @@ class ValidationServer:
         """Settle one oversized ``publish`` through the streaming ingest.
 
         Bypasses the micro-batch queue entirely: the payload is hashed and
-        DFA-stepped in O(depth) memory, and settlement takes only the
-        runtime's internal state lock -- large documents never occupy the
-        admission queue.
+        DFA-stepped in O(depth) memory, a slice per loop turn, and settled
+        at once -- large documents never occupy the admission queue.
         """
         shard = self._acquire_stream_slot(entry, function)
         try:
             ingest = entry.runtime.begin_stream(function)
-            ingest.feed(payload)
+            await _feed(ingest, payload)
             report, verdict = entry.runtime.settle_stream(ingest, trace_id=trace_id)
         except ReproError as error:  # unknown function
             raise OpError("unknown-function", str(error)) from None
@@ -1058,7 +1053,7 @@ class ValidationServer:
     def execute_publications(self, batch: list[_Publication]) -> list[tuple[_Publication, object]]:
         """Ingest one micro-batch and settle it with as few rounds as possible.
 
-        Runs on the event loop with :attr:`runtime_lock` held.  Per design:
+        Runs on the event loop, stamped busy for ``/readyz``.  Per design:
         every payload goes through the runtime's wire ingest (hash before
         parse), then a single validation round settles all dirty peers at
         once; if *every* publication was byte-identical to validated
@@ -1185,35 +1180,31 @@ class ValidationServer:
         )
         connection.streams[stream_id] = state
         connection.reaped.discard(stream_id)
-        if blob:
-            async with state.lock:
-                state.ingest.feed(blob)
-                state.received += len(blob)
+        await self._feed_stream(state, blob)
         return {"design": design_id, "function": function, "stream": stream_id,
                 "received": state.received}
 
     async def _stream_chunk(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
-        if blob:
-            # The per-stream lock keeps chunks in arrival order.
-            async with state.lock:
-                state.ingest.feed(blob)
-                state.received += len(blob)
+        await self._feed_stream(state, blob)
         return {"stream": body["stream"], "received": state.received}
+
+    async def _feed_stream(self, state: _StreamState, blob: bytes) -> None:
+        """Feed one frame's bytes to an open stream, after its earlier frames."""
+        async with state.lock:
+            try:
+                await _feed(state.ingest, blob)
+            except ReproError:  # its connection died and discarded the stream
+                raise OpError("unknown-stream", "the publication stream was discarded") from None
+            state.received += len(blob)
 
     async def _stream_end(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
         del connection.streams[body["stream"]]
         try:
-            async with state.lock:
-                if blob:
-                    state.ingest.feed(blob)
-                    state.received += len(blob)
-                # Settlement takes the runtime's own state lock, not
-                # :attr:`runtime_lock`.
-                report, verdict = state.entry.runtime.settle_stream(
-                    state.ingest, state.trace_id
-                )
+            # No frame can join the stream now: once this feed is in, all are.
+            await self._feed_stream(state, blob)
+            report, verdict = state.entry.runtime.settle_stream(state.ingest, state.trace_id)
         finally:
             self._release_stream_slot(state.entry, state.shard)
         if report.malformed:
@@ -1239,9 +1230,17 @@ class ValidationServer:
         if peer.validator is None:  # pragma: no cover - registration always propagates
             raise OpError("bad-request", f"no local type propagated to {function!r}")
         payload = blob if blob else str(body.get("payload", "")).encode("utf-8")
-        # Read-only on a compiled validator: no runtime lock needed.
         try:
-            valid = peer.validator.validate_payload(payload)
+            if (
+                self.stream_inline_threshold is not None
+                and len(payload) >= self.stream_inline_threshold
+            ):
+                # Streamed a slice per loop turn, like a large publish.
+                run = streaming_validator_for(peer.validator.compiled).run()
+                await _feed(run, payload)
+                valid = run.finish()
+            else:
+                valid = peer.validator.validate_payload(payload)
         except InvalidXMLError as error:
             raise OpError("invalid-xml", f"payload for {function!r}: {error}") from None
         return {"design": entry.design_id, "function": function, "valid": valid}
@@ -1249,7 +1248,7 @@ class ValidationServer:
     async def _revalidate(self, body: dict) -> dict:
         entry = self.design(body["design"])
         force = bool(body.get("force", False))
-        async with self._hold_runtime_lock():
+        with self._runtime_busy():
             report = entry.runtime.validate_locally(force=force)
         return {
             "design": entry.design_id,

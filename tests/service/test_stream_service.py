@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.loadgen import run_load
-from repro.service.server import ServiceHandle, ValidationServer
+from repro.service.server import FEED_SLICE_BYTES, ServiceHandle, ValidationServer
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import corrupt_document, distributed_workload
 
@@ -22,6 +24,19 @@ def served():
                 "w", str(workload.kernel.tree), dict(workload.typing.items()), payloads
             )
         yield handle, workload, payloads
+    finally:
+        handle.close()
+
+
+@pytest.fixture(scope="module")
+def sliced():
+    """Large documents on a server that streams every multi-slice publish or validate."""
+    workload = distributed_workload(peers=2, documents=2, seed=8, records=12000)
+    server = ValidationServer(stream_inline_threshold=FEED_SLICE_BYTES)
+    server.preload_design("big", workload.kernel, workload.typing, workload.initial_documents)
+    handle = ServiceHandle(server).start()
+    try:
+        yield handle, workload
     finally:
         handle.close()
 
@@ -140,6 +155,66 @@ class TestPublishStreamOps:
         )
         assert result["clean"] is True or result["peer_valid"] is True
         assert result["payload_bytes"] == len(payload)
+
+
+class TestSlicedFeeds:
+    """A stream is fed ``FEED_SLICE_BYTES`` per loop turn."""
+
+    def test_a_large_publish_lets_a_later_request_in(self, sliced):
+        handle, workload = sliced
+        document = tree_to_xml(workload.initial_documents["f1"]).encode("utf-8")
+        assert len(document) > 8 * FEED_SLICE_BYTES
+
+        async def main() -> list:
+            client = await AsyncServiceClient.connect(handle.host, handle.port)
+            answered = []
+
+            async def call(name, request):
+                answered.append((name, await request))
+
+            try:
+                publish = asyncio.ensure_future(
+                    call("publish", client.publish("big", "f1", document))
+                )
+                await asyncio.sleep(0)  # the publish frame goes out first
+                await call("ping", client.ping())
+                await publish
+            finally:
+                await client.close()
+            return answered
+
+        answered = asyncio.run(main())
+        assert [name for name, _ in answered] == ["ping", "publish"]
+        assert answered[1][1]["peer_valid"] is True
+
+    def test_pipelined_chunks_larger_than_a_slice_keep_their_order(self, sliced):
+        handle, workload = sliced
+        document = tree_to_xml(workload.initial_documents["f2"]).encode("utf-8")
+
+        async def main() -> dict:
+            client = await AsyncServiceClient.connect(handle.host, handle.port)
+            try:
+                return await client.publish_stream(
+                    "big", "f2", document, chunk_bytes=2 * FEED_SLICE_BYTES + 7
+                )
+            finally:
+                await client.close()
+
+        report = asyncio.run(main())
+        assert report["peer_valid"] is True
+        assert report["payload_bytes"] == len(document)
+
+    def test_a_large_validate_streams_to_the_same_verdicts(self, sliced):
+        handle, workload = sliced
+        document = workload.initial_documents["f1"]
+        payload = tree_to_xml(document)
+        with ServiceClient(handle.host, handle.port) as client:
+            assert client.validate("big", "f1", payload)["valid"] is True
+            rejected = tree_to_xml(corrupt_document(document))
+            assert client.validate("big", "f1", rejected)["valid"] is False
+            with pytest.raises(ServiceError) as err:
+                client.validate("big", "f1", payload[:-5])
+            assert err.value.code == "invalid-xml"
 
 
 class TestStreamLoadgen:
