@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -203,6 +204,29 @@ class TestSlicedFeeds:
         report = asyncio.run(main())
         assert report["peer_valid"] is True
         assert report["payload_bytes"] == len(document)
+
+    def test_a_chunk_whose_connection_dies_between_slices_answers_unknown_stream(self):
+        workload = distributed_workload(peers=2, documents=2, seed=8)
+        server = ValidationServer()
+        server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
+        connection = SimpleNamespace(streams={}, reaped=set())
+        chunk = b"<root_f1>" + b"<record><key/></record>" * (4 * FEED_SLICE_BYTES // 23)
+
+        async def main() -> str:
+            await server._stream_begin(
+                {"design": "d", "function": "f1", "stream": "s"}, b"", connection
+            )
+            feeding = asyncio.ensure_future(
+                server._stream_chunk({"stream": "s"}, chunk, connection)
+            )
+            await asyncio.sleep(0)  # the chunk feeds its first slice and yields
+            assert not feeding.done()
+            server._discard_streams(connection)  # what a dying connection does
+            with pytest.raises(ServiceError) as err:
+                await feeding
+            return err.value.code
+
+        assert asyncio.run(main()) == "unknown-stream"
 
     def test_a_large_validate_streams_to_the_same_verdicts(self, sliced):
         handle, workload = sliced
