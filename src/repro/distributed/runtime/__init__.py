@@ -5,9 +5,9 @@ simulation validates peers one at a time on the calling thread.  This
 package turns it into a runtime:
 
 * :mod:`~repro.distributed.runtime.sharding` -- deterministic assignment of
-  peers to shards (one compilation engine each);
+  peers to shards;
 * :mod:`~repro.distributed.runtime.scheduler` -- the scheduler running a
-  round's shard tasks in the settling thread, each on its shard's engine;
+  round's shard tasks in the settling thread, on the runtime's one engine;
 * :mod:`~repro.distributed.runtime.runtime` -- :class:`ValidationRuntime`:
   sharded local validation plus content-addressed incremental
   revalidation (only peers whose document fingerprint changed revalidate;

@@ -4,11 +4,11 @@
 :class:`~repro.distributed.network.DistributedDocument` simulation:
 
 * **Sharded local validation** -- peers are partitioned into shards
-  (:mod:`~repro.distributed.runtime.sharding`), each with its own
-  compilation engine; a round runs one task per shard holding dirty
-  peers, in the thread that settles the round
-  (:mod:`~repro.distributed.runtime.scheduler`).  Each check holds the
-  GIL throughout, so a thread pool would run none of them at once.
+  (:mod:`~repro.distributed.runtime.sharding`); a round runs one task per
+  shard holding dirty peers, in the thread that settles the round
+  (:mod:`~repro.distributed.runtime.scheduler`), on the runtime's one
+  compilation engine.  Each check holds the GIL throughout, so a thread
+  pool would run none of them at once.
 * **Incremental revalidation** -- every validated document is
   content-addressed with :func:`~repro.engine.fingerprint.tree_fingerprint`.
   A peer is *dirty* only when its current content differs from the content
@@ -365,7 +365,8 @@ class ValidationRuntime:
     document:
         The :class:`DistributedDocument` whose peers this runtime drives.
         The runtime shares the document's network (all traffic lands in one
-        ledger) but *not* its engine: each shard compiles on its own.
+        ledger) but *not* its engine: the runtime compiles on its own, so
+        its compile memo lives exactly as long as the runtime.
     shards:
         Number of shards (default: ``min(peer count, 4)``).  A runtime
         starts no thread: every shard task runs in the caller's thread.
@@ -392,7 +393,9 @@ class ValidationRuntime:
         self.logger = logger
         functions = tuple(document.resources)
         self.shard_map = ShardMap.over(functions, resolve_shards(len(functions), shards))
-        self.scheduler = ShardScheduler(self.shard_map)
+        #: Every typing compiles and every shard task runs on this engine.
+        self.engine = CompilationEngine()
+        self.scheduler = ShardScheduler(self.shard_map, self.engine)
         self.stats = RuntimeStats()
         #: Serialises every mutation of (and consistent read over) the
         #: incremental state below.  Reentrant so a validation round may
@@ -441,11 +444,13 @@ class ValidationRuntime:
     def propagate_typing(self, typing: TreeTyping) -> None:
         """Install a typing: compile every local type, then hand it to its peer.
 
-        Every local type compiles on the first shard's engine, so one
-        compilation memo serves the whole typing (:meth:`engine_stats`
-        counts it with the others), and the shards validate with the
-        compiled validators.  Every cached acknowledgement is invalidated
-        -- an ack is only meaningful against the type it was computed for.
+        Every local type compiles on the runtime's engine.  Rules compile
+        over their own symbols and are memoized by content, so the peers
+        of a typing share one compiled automaton per distinct rule, and a
+        later typing on this runtime compiles only the rules it changed.
+        The memo lives as long as the runtime.  Every cached
+        acknowledgement is invalidated -- an ack is only meaningful
+        against the type it was computed for.
         """
         with self._state_lock:
             self._propagate_typing_locked(typing)
@@ -455,10 +460,9 @@ class ValidationRuntime:
         if missing:
             raise DesignError(f"the typing has no component for {missing[0]!r}")
 
-        engine = self.scheduler.engines[0]
-        with use_engine(engine):
+        with use_engine(self.engine):
             validators = {
-                function: BatchValidator(typing[function], engine=engine)
+                function: BatchValidator(typing[function], engine=self.engine)
                 for function in self.document.resources
             }
         for function, validator in validators.items():
@@ -697,7 +701,7 @@ class ValidationRuntime:
             if any(function in attention for function in self.shard_map.members(shard))
         ]
 
-        def run_shard(shard: int, engine: CompilationEngine) -> list[_PeerOutcome]:
+        def run_shard(shard: int) -> list[_PeerOutcome]:
             shard_started = time.perf_counter()
             outcomes = []
             for function in self.shard_map.members(shard):
@@ -901,8 +905,8 @@ class ValidationRuntime:
     # ------------------------------------------------------------------ #
 
     def engine_stats(self) -> dict:
-        """Aggregated cache counters across the shard engines."""
-        return self.scheduler.engine_stats()
+        """The cache counters of the runtime's engine, per kind too."""
+        return self.engine.stats.snapshot()
 
     def describe(self) -> str:
         lines = [

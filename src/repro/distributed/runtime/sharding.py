@@ -1,15 +1,13 @@
 """Assignment of resource peers to shards.
 
 A *shard* is a fixed group of peers: a validation round runs one task
-per shard holding dirty peers, each on the shard's own
-:class:`~repro.engine.compilation.CompilationEngine`, and the validation
-server keeps its per-shard wire-stream slots by it.  Shard tasks run one
-after another in the thread settling the round
-(:mod:`~repro.distributed.runtime.scheduler`).
+per shard holding dirty peers, and the validation server keeps its
+per-shard wire-stream slots by it.  Shard tasks run one after another in
+the thread settling the round (:mod:`~repro.distributed.runtime.scheduler`).
 
 The assignment is deterministic (round-robin over the kernel's function
-order), so two runtimes built over the same document agree on which engine
-compiles which local type -- which keeps cache statistics reproducible.
+order), so two runtimes built over the same document agree on which shard
+serves which peer.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 The seed's ``schema.validate(tree)`` rebuilt the unranked tree automaton
 *and* re-ran every horizontal automaton with epsilon closures on every call
 -- per document, per peer, per benchmark round.  :class:`CompiledSchema`
-performs that work once: the tree automaton is built a single time, its
-horizontal NFAs are lifted to the integer/bitset kernel through the
-:class:`~repro.engine.compilation.CompilationEngine` (so peers whose local
-types share content models share the compiled automata too), and a node's
-set of assignable states is one ``int``.
+performs that work once: the tree automaton is built a single time, each
+horizontal NFA is lifted to the integer/bitset kernel over the symbols it
+reads and memoized by its content on the
+:class:`~repro.engine.compilation.CompilationEngine` (so the peers of a
+typing, whose local types repeat the same rules, share one compiled
+automaton per distinct rule), and a node's set of assignable states is
+one ``int``.
 
 The bottom-up run is one memoized fold.  At a node labelled ``l`` only
 the rules ``(state, l)`` can fire, and the node's children are read left
@@ -96,9 +98,12 @@ class CompiledSchema:
         Anything with a ``to_uta()`` method (DTD / SDTD / EDTD /
         NormalizedEDTD) or an :class:`UnrankedTreeAutomaton` directly.
     engine:
-        The compilation engine used to epsilon-free the horizontal automata;
-        defaults to the process-wide engine, so structurally identical
-        content models compile once across all schemas and peers.
+        The compilation engine that lifts the horizontal automata; defaults
+        to the thread's default engine.  Every rule compiles over its own
+        symbols and is keyed by its content alone, so equal rules compile
+        once across all the schemas compiled on one engine -- whatever
+        their state orders -- and each schema only maps its state bits to
+        the shared rule's rows.
 
     The label automata are shared, without locks, by every thread that
     validates against this schema (the event-loop threads of the servers
@@ -116,7 +121,6 @@ class CompiledSchema:
 
     def __init__(self, schema, engine=None) -> None:
         from repro.engine.compilation import SCHEMA_TO_UTA_KIND, get_default_engine
-        from repro.engine.fingerprint import alphabet_key
 
         self.engine = engine if engine is not None else get_default_engine()
         self.schema = schema
@@ -132,31 +136,33 @@ class CompiledSchema:
         # the symbols every horizontal automaton reads, so a node's set of
         # assignable states *is* the child-symbol bitmask of its parent.
         self._state_order: tuple = tuple(sorted(uta.states, key=repr))
-        state_bit = {state: 1 << i for i, state in enumerate(self._state_order)}
+        index_of = {state: i for i, state in enumerate(self._state_order)}
         self._finals_mask = 0
         for state in uta.finals:
-            self._finals_mask |= state_bit[state]
-        shared_alphabet = alphabet_key(map(repr, self._state_order))
+            self._finals_mask |= 1 << index_of[state]
         # Rules grouped by label: at a node labelled `l` only the (state, l)
-        # horizontal automata can fire.  Each rule's horizontal NFA is
-        # lifted to the kernel once, memoized by content fingerprint, so
-        # peers whose local types share content models share the compiled
-        # automata too.
+        # horizontal automata can fire.  A rule compiles over the symbols it
+        # reads, keyed by its content alone, so equal rules of schemas with
+        # different state orders share it; ``rows`` maps each state bit of
+        # this schema to the rule's delta row, or to None if it never reads it.
         rules: dict[str, list] = {}
         for (state, label), nfa in uta.horizontal.items():
             compiled = self.engine.memo(
                 "compact-horizontal",
-                (self.engine.fingerprint(nfa), shared_alphabet),
-                lambda nfa=nfa: CompactNFA(nfa, self._state_order),
+                (self.engine.fingerprint(nfa),),
+                lambda nfa=nfa: CompactNFA(nfa),
             )
-            rules.setdefault(label, []).append((state_bit[state], compiled))
-        #: label -> ``((state_bit, CompactNFA), ...)``, one entry per rule.
+            rows: list = [None] * len(index_of)
+            for symbol, row in zip(compiled.symbols, compiled.delta):
+                rows[index_of[symbol]] = row
+            rules.setdefault(label, []).append((1 << index_of[state], compiled, tuple(rows)))
+        #: label -> ``((state_bit, CompactNFA, rows), ...)``, one entry per rule.
         self._rules: dict[str, tuple] = {label: tuple(entries) for label, entries in rules.items()}
         #: label -> its initial state.  Fixed for the schema's lifetime;
         #: evictions only clear their successors.
         self._initial: dict[str, LabelState] = {}
         for label, entries in self._rules.items():
-            currents = tuple(nfa.initial_mask for _bit, nfa in entries)
+            currents = tuple(nfa.initial_mask for _bit, nfa, _rows in entries)
             self._initial[label] = LabelState(label, currents, self._close_mask(label, currents))
         #: ``(label, currents) -> LabelState`` for every state a step reached.
         self._states: dict[tuple, LabelState] = {}
@@ -169,7 +175,7 @@ class CompiledSchema:
 
     def _close_mask(self, label: str, currents: tuple) -> int:
         mask = 0
-        for (state_bit, nfa), current in zip(self._rules[label], currents):
+        for (state_bit, nfa, _rows), current in zip(self._rules[label], currents):
             if current & nfa.finals_closed:
                 mask |= state_bit
         return mask
@@ -178,25 +184,26 @@ class CompiledSchema:
         """The successor of ``state`` on a child's mask: a miss, computed and memoized.
 
         Every rule's current set moves over every symbol of ``child_mask``
-        through the ε-free ``CompactNFA.delta`` rows.  Returns the interned
-        successor, or ``0`` when every rule died (a zero ``child_mask``
-        always does).
+        through the ε-free ``CompactNFA.delta`` row that the rule's
+        ``rows`` give for the symbol's bit; a symbol the rule never reads
+        moves nothing.  Returns the interned successor, or ``0`` when every
+        rule died (a zero ``child_mask`` always does).
         """
         currents = []
         alive = 0
-        for (_state_bit, nfa), current in zip(self._rules[state.label], state.currents):
+        for (_state_bit, _nfa, rows), current in zip(self._rules[state.label], state.currents):
             moved = 0
             if current:
-                delta = nfa.delta
                 symbols_left = child_mask
                 while symbols_left:
                     low = symbols_left & -symbols_left
-                    row = delta[low.bit_length() - 1]
-                    states_left = current
-                    while states_left:
-                        state_low = states_left & -states_left
-                        moved |= row[state_low.bit_length() - 1]
-                        states_left ^= state_low
+                    row = rows[low.bit_length() - 1]
+                    if row is not None:
+                        states_left = current
+                        while states_left:
+                            state_low = states_left & -states_left
+                            moved |= row[state_low.bit_length() - 1]
+                            states_left ^= state_low
                     symbols_left ^= low
             currents.append(moved)
             alive |= moved

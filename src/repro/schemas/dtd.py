@@ -76,7 +76,7 @@ class DTD:
             raise SchemaError(f"{name!r} is not an element name of this DTD")
         model = self.rules.get(name)
         if model is None:
-            return ContentModel(NFA.epsilon_language(), self.formalism, check=False)
+            return content_model("ε", self.formalism)  # one automaton for every leaf
         return model
 
     @property
@@ -123,11 +123,12 @@ class DTD:
     # ------------------------------------------------------------------ #
 
     def to_uta(self) -> UnrankedTreeAutomaton:
-        """The unranked tree automaton with one state per element name."""
-        horizontal = {}
-        for name in self.alphabet:
-            model = self.content(name)
-            horizontal[(name, name)] = model.nfa.with_alphabet(self.alphabet)
+        """The unranked tree automaton with one state per element name.
+
+        Each horizontal automaton is the content model's own NFA, over the
+        names the rule reads, so equal rules of different DTDs compile once.
+        """
+        horizontal = {(name, name): self.content(name).nfa for name in self.alphabet}
         return UnrankedTreeAutomaton(self.alphabet, self.alphabet, horizontal, {self.start})
 
     def dual(self) -> DFA:

@@ -90,7 +90,7 @@ class EDTD:
             raise SchemaError(f"{name!r} is not a specialised name of this type")
         model = self.rules.get(name)
         if model is None:
-            return ContentModel(NFA.epsilon_language(), self.formalism, check=False)
+            return content_model("ε", self.formalism)
         return model
 
     def specializations(self, element: str) -> frozenset[str]:
@@ -131,11 +131,10 @@ class EDTD:
     # ------------------------------------------------------------------ #
 
     def to_uta(self) -> UnrankedTreeAutomaton:
-        """The nUTA whose states are the specialised names."""
-        horizontal = {}
-        for name in self.specialized_names:
-            model = self.content(name)
-            horizontal[(name, self.mu[name])] = model.nfa.with_alphabet(self.specialized_names)
+        """The nUTA whose states are the specialised names (see ``DTD.to_uta``)."""
+        horizontal = {
+            (name, self.mu[name]): self.content(name).nfa for name in self.specialized_names
+        }
         return UnrankedTreeAutomaton(
             self.specialized_names, self.alphabet, horizontal, {self.start}
         )
@@ -278,8 +277,7 @@ class NormalizedEDTD:
 
     def to_uta(self) -> UnrankedTreeAutomaton:
         horizontal = {
-            (name, self.element_of[name]): self.content[name].with_alphabet(self.names)
-            for name in self.names
+            (name, self.element_of[name]): self.content[name] for name in self.names
         }
         return UnrankedTreeAutomaton(self.names, self.alphabet, horizontal, self.roots)
 

@@ -81,15 +81,19 @@ class RetryPolicy:
         return max(0.0, backoff)
 
 
-def _as_bytes(payload: Union[str, bytes]) -> bytes:
-    return payload.encode("utf-8") if isinstance(payload, str) else payload
+def _carrying(fields: dict, payload: Union[str, bytes]) -> tuple[dict, bytes]:
+    """A request's ``(fields, blob)``: bytes as the attachment, a ``str`` as
+    the ``payload`` text, which the server reads as the characters it is."""
+    if isinstance(payload, str):
+        return {**fields, "payload": payload}, b""
+    return fields, payload
 
 
-def _as_chunks(payload, chunk_bytes: int) -> Iterable[bytes]:
-    """Normalise a publish_stream payload into an iterable of byte chunks."""
+def _as_chunks(payload, chunk_bytes: int) -> Iterable[Union[str, bytes]]:
+    """A publish_stream payload as chunks: a whole document is sliced."""
     if isinstance(payload, (str, bytes)):
-        return iter_chunks(_as_bytes(payload), chunk_bytes)
-    return (_as_bytes(chunk) for chunk in payload)
+        return iter_chunks(payload, chunk_bytes)
+    return payload
 
 
 def _schema_fields(schemas: Mapping[str, object]) -> dict:
@@ -149,10 +153,10 @@ class _RequestMixin:
         fields = {"design": design, "function": function}
         if trace_id:
             fields["trace"] = trace_id
-        return self._call("publish", fields, _as_bytes(payload))
+        return self._call("publish", *_carrying(fields, payload))
 
     def validate(self, design: str, function: str, payload: Union[str, bytes]):
-        return self._call("validate", {"design": design, "function": function}, _as_bytes(payload))
+        return self._call("validate", *_carrying({"design": design, "function": function}, payload))
 
     def revalidate(self, design: str, force: bool = False):
         fields = {"design": design}
@@ -303,7 +307,7 @@ class ServiceClient(_RequestMixin):
             begin["trace"] = trace_id
         self._call("publish_stream_begin", begin)
         for chunk in _as_chunks(payload, chunk_bytes):
-            self._call("publish_stream_chunk", {"stream": stream}, chunk)
+            self._call("publish_stream_chunk", *_carrying({"stream": stream}, chunk))
         return self._call("publish_stream_end", {"stream": stream})
 
     def _call(self, op: str, fields: Optional[dict] = None, blob: bytes = b"") -> dict:
@@ -538,7 +542,9 @@ class AsyncServiceClient(_RequestMixin):
             begin["trace"] = trace_id
         await self._call("publish_stream_begin", begin)
         chunk_calls = [
-            asyncio.ensure_future(self._call("publish_stream_chunk", {"stream": stream}, chunk))
+            asyncio.ensure_future(
+                self._call("publish_stream_chunk", *_carrying({"stream": stream}, chunk))
+            )
             for chunk in _as_chunks(payload, chunk_bytes)
         ]
         if chunk_calls:

@@ -99,7 +99,19 @@ _QUIET_OPS = frozenset({"ping", "stats", "trace", "logs", "publish_stream_chunk"
 OpError = protocol.ServiceError
 
 
-async def _feed(target, data: bytes) -> None:
+def _payload_of(body: dict, blob: bytes) -> Union[bytes, str]:
+    """A request's attachment, else its ``payload`` text: parsed as the
+    characters it is, whatever encoding it declares (like a ``str`` given
+    to :meth:`ValidationRuntime.publish`)."""
+    if blob:
+        return blob
+    payload = body.get("payload", "")
+    if not isinstance(payload, str):
+        raise OpError("bad-request", "'payload' must be XML text")
+    return payload
+
+
+async def _feed(target, data: Union[bytes, str]) -> None:
     """Feed ``data`` to a stream ingest or run, one slice per loop turn."""
     for start in range(0, len(data), FEED_SLICE_BYTES):
         if start:
@@ -181,7 +193,7 @@ class _Publication:
 
     design: str
     function: str
-    payload: bytes
+    payload: Union[bytes, str]
     future: asyncio.Future = field(compare=False)
     #: Wire-propagated trace id (``None`` for untraced traffic).
     trace_id: Optional[str] = None
@@ -997,9 +1009,9 @@ class ValidationServer:
 
     async def _publish(self, body: dict, blob: bytes) -> dict:
         design_id, function = body["design"], body["function"]
-        payload = blob if blob else str(body.get("payload", "")).encode("utf-8")
+        payload = _payload_of(body, blob)
         if not payload:
-            raise OpError("bad-request", "publish carries no payload bytes")
+            raise OpError("bad-request", "publish carries no payload")
         entry = self.design(design_id)  # fail fast before queueing
         raw_trace = body.get("trace")
         trace_id = raw_trace if isinstance(raw_trace, str) and raw_trace else None
@@ -1020,7 +1032,7 @@ class ValidationServer:
         self,
         entry: RegisteredDesign,
         function: str,
-        payload: bytes,
+        payload: Union[bytes, str],
         trace_id: Optional[str] = None,
     ) -> dict:
         """Settle one oversized ``publish`` through the streaming ingest.
@@ -1165,6 +1177,7 @@ class ValidationServer:
             raise OpError("bad-request", "'stream' must be a string or integer id")
         if stream_id in connection.streams:
             raise OpError("stream-exists", f"publication stream {stream_id!r} is already open")
+        data = _payload_of(body, blob)
         entry = self.design(design_id)
         shard = self._acquire_stream_slot(entry, function)
         try:
@@ -1180,30 +1193,31 @@ class ValidationServer:
         )
         connection.streams[stream_id] = state
         connection.reaped.discard(stream_id)
-        await self._feed_stream(state, blob)
+        await self._feed_stream(state, data)
         return {"design": design_id, "function": function, "stream": stream_id,
                 "received": state.received}
 
     async def _stream_chunk(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
-        await self._feed_stream(state, blob)
+        await self._feed_stream(state, _payload_of(body, blob))
         return {"stream": body["stream"], "received": state.received}
 
-    async def _feed_stream(self, state: _StreamState, blob: bytes) -> None:
-        """Feed one frame's bytes to an open stream, after its earlier frames."""
+    async def _feed_stream(self, state: _StreamState, data: Union[bytes, str]) -> None:
+        """Feed one frame's payload to an open stream, after its earlier frames."""
         async with state.lock:
             try:
-                await _feed(state.ingest, blob)
+                await _feed(state.ingest, data)
             except ReproError:  # its connection died and discarded the stream
                 raise OpError("unknown-stream", "the publication stream was discarded") from None
-            state.received += len(blob)
+            state.received += len(data if isinstance(data, bytes) else data.encode("utf-8"))
 
     async def _stream_end(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
+        data = _payload_of(body, blob)
         del connection.streams[body["stream"]]
         try:
             # No frame can join the stream now: once this feed is in, all are.
-            await self._feed_stream(state, blob)
+            await self._feed_stream(state, data)
             report, verdict = state.entry.runtime.settle_stream(state.ingest, state.trace_id)
         finally:
             self._release_stream_slot(state.entry, state.shard)
@@ -1229,7 +1243,7 @@ class ValidationServer:
             raise OpError("unknown-function", f"no resource peer serves function {function!r}")
         if peer.validator is None:  # pragma: no cover - registration always propagates
             raise OpError("bad-request", f"no local type propagated to {function!r}")
-        payload = blob if blob else str(body.get("payload", "")).encode("utf-8")
+        payload = _payload_of(body, blob)
         try:
             if (
                 self.stream_inline_threshold is not None

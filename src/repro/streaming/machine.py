@@ -50,12 +50,15 @@ def streaming_validator_for(schema, engine=None) -> "StreamingValidator":
     :class:`CompiledSchema` uses), so repeated streaming validations --
     the runtime's publish path, the service, the benchmarks -- share one
     compiled machine exactly like peers share compiled batch validators.
+    A :class:`CompiledSchema` memoizes on its own engine by default, so
+    its machine lives no longer than the engine that compiled it.
     """
     from repro.engine.compilation import STREAMING_MACHINE_KIND, get_default_engine
 
-    active = engine if engine is not None else get_default_engine()
-    return active.memo_identity(
-        STREAMING_MACHINE_KIND, schema, lambda: StreamingValidator(schema, active)
+    if engine is None:
+        engine = schema.engine if isinstance(schema, CompiledSchema) else get_default_engine()
+    return engine.memo_identity(
+        STREAMING_MACHINE_KIND, schema, lambda: StreamingValidator(schema, engine)
     )
 
 

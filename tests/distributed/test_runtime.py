@@ -20,7 +20,7 @@ from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import CONTROL_MESSAGE_BYTES, DistributedDocument
 from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime import ShardMap, ShardScheduler, ValidationRuntime, WorkloadDriver
-from repro.engine.compilation import get_default_engine
+from repro.engine.compilation import CompilationEngine, get_default_engine
 from repro.engine.fingerprint import payload_fingerprint, tree_fingerprint
 from repro.errors import DesignError
 from repro.schemas.dtd import DTD
@@ -85,14 +85,14 @@ class TestShardMap:
 class TestScheduler:
     def test_tasks_run_in_the_callers_thread_in_shard_order(self):
         shard_map = ShardMap.over([f"f{i}" for i in range(1, 9)], 4)
-        scheduler = ShardScheduler(shard_map)
+        engine = CompilationEngine()
+        scheduler = ShardScheduler(shard_map, engine)
         caller = threading.current_thread()
         seen = []
 
-        def task(shard, engine):
+        def task(shard):
             assert threading.current_thread() is caller
-            assert engine is scheduler.engines[shard]
-            assert get_default_engine() is scheduler.engines[shard]
+            assert get_default_engine() is engine
             seen.append(shard)
             return shard_map.members(shard)
 
@@ -100,14 +100,14 @@ class TestScheduler:
         assert seen == [0, 1, 2, 3]
         assert scheduler.map_shards(task, [3, 1]) == [shard_map.members(3), shard_map.members(1)]
         assert seen[4:] == [3, 1]
-        assert get_default_engine() not in scheduler.engines
+        assert get_default_engine() is not engine
 
     def test_task_exception_propagates(self):
         shard_map = ShardMap.over(["f1", "f2"], 2)
-        scheduler = ShardScheduler(shard_map)
+        scheduler = ShardScheduler(shard_map, CompilationEngine())
         ran = []
 
-        def explode(shard, engine):
+        def explode(shard):
             ran.append(shard)
             raise RuntimeError("boom")
 
@@ -127,15 +127,17 @@ class TestScheduler:
             assert not report.valid and report.peers_validated == PEERS
             assert threading.active_count() == before
 
-    def test_engine_stats_aggregate_across_shards(self):
-        shard_map = ShardMap.over(["f1", "f2"], 2)
-        scheduler = ShardScheduler(shard_map)
-        scheduler.engines[0].stats.record_miss("batch-validate")
-        scheduler.engines[1].stats.record_miss("batch-validate")
-        scheduler.engines[1].stats.record_hit("batch-validate")
-        totals = scheduler.engine_stats()
-        assert totals["by_kind"]["batch-validate"] == {"hits": 1, "misses": 2, "evictions": 0}
-        assert totals["hits"] == 1 and totals["misses"] == 2
+    def test_typing_and_rounds_count_on_the_runtimes_one_engine(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, shards=4) as runtime:
+            assert runtime.scheduler.engine is runtime.engine
+            runtime.propagate_typing(workload.typing)
+            runtime.validate_locally()
+            stats = runtime.engine_stats()
+            assert stats == runtime.engine.stats.snapshot()
+            assert stats["by_kind"]["schema-to-uta"]["misses"] == PEERS
+            assert stats["by_kind"]["batch-validate"]["misses"] == PEERS
 
 
 class TestParallelEqualsSerial:

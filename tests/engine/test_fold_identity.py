@@ -356,6 +356,47 @@ class TestRandomSchemas:
             assert_all_drivers_agree(schema, tree, rng, compiled)
 
 
+#: Root names sorting before, between and after the rule names ``a``/``b``/
+#: ``c``: equal rules sit at different state bits in each schema.
+ROOTS = ("_r", "bb", "zr")
+
+
+@st.composite
+def schemas_sharing_rules(draw):
+    """DTDs with equal rules under the ``ROOTS``, an unrelated schema, and documents."""
+    rules = {symbol: draw(properties.regexes) for symbol in properties.ALPHABET}
+    root_rule = draw(properties.regexes)
+    rooted = [dtd(root, {root: root_rule, **rules}) for root in ROOTS]
+    unrelated, documents = draw(schemas_and_trees())
+    forests = draw(st.lists(st.lists(trees, max_size=4), min_size=1, max_size=4))
+    return rooted, unrelated, documents, forests
+
+
+class TestSchemasSharingOneEngine:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(schemas_sharing_rules(), st.randoms(use_true_random=False))
+    @pytest.mark.parametrize("capacity", [None, 1], ids=["shared", "evicting"])
+    def test_interleaved_schemas_on_one_engine_equal_their_schemas(self, capacity, case, rng):
+        rooted, unrelated, documents, forests = case
+        engine = CompilationEngine()
+        schemas = rooted + [unrelated]
+        compiled = [CompiledSchema(schema, engine) for schema in schemas]
+        if capacity is not None:
+            for each in compiled:
+                each.state_capacity = each.transition_capacity = capacity
+        assert len({each._state_order for each in compiled[: len(ROOTS)]}) == len(ROOTS)
+        for label in properties.ALPHABET:  # one compiled automaton per equal rule
+            assert len({id(each._rules[label][0][1]) for each in compiled[: len(ROOTS)]}) == 1
+        candidates = [Tree(root, tuple(forest)) for forest in forests for root in ROOTS]
+        for tree in candidates + documents:
+            for schema, each in zip(schemas, compiled):
+                assert_all_drivers_agree(schema, tree, rng, each)
+
+
 # --------------------------------------------------------------------- #
 # shared tables: bounds, evictions, threads
 # --------------------------------------------------------------------- #

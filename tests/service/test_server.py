@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 import threading
+import weakref
 
 import pytest
 
-from repro.core.typing import TreeTyping
+from repro.api import DesignSession
+from repro.core.design import TopDownDesign
+from repro.core.existence import find_perfect_typing
+from repro.core.kernel import KernelTree
+from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
+from repro.schemas.dtd import DTD
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.trees import xml_io
 from repro.trees.document import Tree
+from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.synthetic import corrupt_document, distributed_workload
 
@@ -201,6 +209,73 @@ class TestRegistration:
         assert entry.runtime.validate_locally().valid is False
 
 
+#: A record DTD over the kernel ``s0(f1 ... f16)``.  Its perfect typing
+#: gives every peer ``root_fi -> record*`` and the same ``record``,
+#: ``group`` and ``field`` rules, and every leaf is ε: five distinct content
+#: models across 16 x 9 rules.
+RECORD_RULES = {
+    "s0": "record*",
+    "record": "key, (field | group)*, stamp?",
+    "group": "(field, field) | note",
+    "field": "value?",
+}
+RECORD_FUNCTIONS = tuple(f"f{i}" for i in range(1, 17))
+RECORD_KERNEL = f"s0({' '.join(RECORD_FUNCTIONS)})"
+
+
+def record_typing(record_rule: str) -> dict:
+    rules = dict(RECORD_RULES, record=record_rule)
+    design = TopDownDesign(DTD("s0", rules), KernelTree(parse_term(RECORD_KERNEL)))
+    return dict(find_perfect_typing(design).items())
+
+
+def register_records(client, record_rule: str, replace: bool = False) -> dict:
+    documents = {
+        f: f"<{default_root_name(f)}><record><key/><field/></record></{default_root_name(f)}>"
+        for f in RECORD_FUNCTIONS
+    }
+    return client.register_design(
+        "records", RECORD_KERNEL, record_typing(record_rule), documents, replace=replace
+    )
+
+
+class TestTypingCompilation:
+    """Rules compile over their own symbols, so the peers of a typing share them."""
+
+    def compact_counters(self, handle) -> tuple[int, int]:
+        counters = handle.server.design("records").runtime.engine_stats()["by_kind"]
+        return counters["compact-horizontal"]["misses"], counters["compact-horizontal"]["hits"]
+
+    def test_a_perfect_typing_compiles_each_distinct_rule_once(self, handle, client):
+        assert register_records(client, RECORD_RULES["record"])["valid"] is True
+        misses, hits = self.compact_counters(handle)
+        assert (misses, misses + hits) == (5, len(RECORD_FUNCTIONS) * 9)
+        # One runtime, a typing that changes one rule: one more compile.
+        # The typing is read from its text, as the server reads it.
+        changed = record_typing("key, (field | group)*, stamp")
+        runtime = handle.server.design("records").runtime
+        runtime.propagate_typing(
+            {f: parse_dtd_text(schema.describe(), start=schema.start) for f, schema in changed.items()}
+        )
+        assert runtime.validate_locally().valid is False
+        assert self.compact_counters(handle)[0] == 6
+        # A registration starts its own memo: nothing carries over.
+        assert register_records(client, RECORD_RULES["record"], replace=True)["valid"] is True
+        assert self.compact_counters(handle)[0] == 5
+
+    def test_a_replaced_design_is_garbage(self, handle, client):
+        register_records(client, RECORD_RULES["record"])
+        entry = handle.server.design("records")
+        compiled = weakref.ref(entry.document.resources["f1"].validator.compiled)
+        document = "<root_f1><record><key/></record></root_f1>"
+        assert client.publish_stream("records", "f1", document, chunk_bytes=8)["peer_valid"]
+        assert client.validate("records", "f1", document)["valid"] is True
+        del entry
+        register_records(client, RECORD_RULES["record"], replace=True)
+        gc.collect()
+        assert compiled() is None
+
+
 class TestPublish:
     def test_round_trip_and_verdicts(self, client, workload):
         first = client.publish("d", "f1", payload_of(workload, "f1"))
@@ -322,6 +397,55 @@ class TestValidateAndRevalidate:
         assert report["peers_validated"] == PEERS
         report = client.revalidate("d")
         assert report["peers_validated"] == 0 and report["peers_skipped"] == PEERS
+
+
+class TestStrPayloads:
+    """A ``str`` payload rides as JSON text and is read as the characters it is."""
+
+    #: Read as UTF-8 bytes under the encoding it declares, the root would
+    #: be ``donnÃ©es``.
+    LATIN = '<?xml version="1.0" encoding="iso-8859-1"?><données><a/></données>'
+    LATIN_TWO = '<?xml version="1.0" encoding="iso-8859-1"?><données><a/><a/></données>'
+
+    @pytest.fixture(params=[{}, {"stream_inline_threshold": 16}], ids=["batched", "inline-stream"])
+    def latin(self, request):
+        schema = DTD("données", {"données": "a*"})
+        with DesignSession.serve(
+            "s0(f1)", {"f1": schema}, {"f1": Tree.node("données")}, **request.param
+        ) as running:
+            yield running
+
+    def test_publish_validate_and_streams_read_the_characters(self, latin):
+        with ServiceClient(latin.host, latin.port) as client:
+            assert client.validate("default", "f1", self.LATIN)["valid"] is True
+            published = client.publish("default", "f1", self.LATIN)
+            assert published["peer_valid"] is True and published["clean"] is False
+            # Addressed by its UTF-8 encoding, as ``runtime.publish(str)`` does.
+            again = client.publish_stream("default", "f1", self.LATIN, chunk_bytes=7)
+            assert again["clean"] is True and again["peer_valid"] is True
+            streamed = client.publish_stream("default", "f1", self.LATIN_TWO, chunk_bytes=5)
+            assert streamed["clean"] is False and streamed["peer_valid"] is True
+            assert streamed["payload_bytes"] == len(self.LATIN_TWO.encode("utf-8"))
+            # Bytes keep the blob path, which honours the declaration.
+            latin_bytes = self.LATIN.encode("iso-8859-1")
+            assert client.validate("default", "f1", latin_bytes)["valid"] is True
+
+        async def drive():
+            client = await AsyncServiceClient.connect(latin.host, latin.port)
+            try:
+                return await client.publish_stream("default", "f1", self.LATIN, chunk_bytes=3)
+            finally:
+                await client.close()
+
+        assert asyncio.run(drive())["peer_valid"] is True
+
+    @pytest.mark.parametrize("op", ["publish", "validate"])
+    def test_a_payload_that_is_not_text_is_a_bad_request(self, latin, op):
+        with ServiceClient(latin.host, latin.port) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client._call(op, {"design": "default", "function": "f1", "payload": 5})
+            assert excinfo.value.code == "bad-request"
+            assert client.publish("default", "f1", self.LATIN)["peer_valid"] is True
 
 
 class TestStats:
