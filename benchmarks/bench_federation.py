@@ -59,7 +59,7 @@ def federated():
 def test_publish_roundtrip_latency(benchmark, federated):
     """One publish through the owning pod, verdict push included."""
     federation, workload = federated
-    payload = tree_to_xml(workload.initial_documents["f1"])
+    payload = tree_to_xml(workload.initial_documents["f1"]).encode("utf-8")
     federation.publish("f1", payload)  # first sight: validates
     result = benchmark(lambda: federation.publish("f1", payload))
     assert result["clean"] is True
@@ -69,7 +69,7 @@ def test_global_verdict_roundtrip(benchmark, federated):
     """Reading the directory's collected verdict (no publication)."""
     federation, workload = federated
     for function, doc in workload.initial_documents.items():
-        federation.publish(function, tree_to_xml(doc))
+        federation.publish(function, tree_to_xml(doc).encode("utf-8"))
     verdict = benchmark(federation.global_verdict)
     assert verdict["complete"]
 
@@ -77,7 +77,7 @@ def test_global_verdict_roundtrip(benchmark, federated):
 def test_full_round_republish(benchmark, federated):
     """A whole round of steady-state re-publications plus the verdict."""
     federation, workload = federated
-    payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
+    payloads = {f: tree_to_xml(doc).encode("utf-8") for f, doc in workload.initial_documents.items()}
     for function, payload in payloads.items():
         federation.publish(function, payload)
 

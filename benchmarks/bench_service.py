@@ -56,7 +56,7 @@ def test_publish_roundtrip_latency(benchmark, served):
             dict(workload.typing.items()),
             {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()},
         )
-        payload = tree_to_xml(workload.initial_documents["f1"])
+        payload = tree_to_xml(workload.initial_documents["f1"]).encode("utf-8")
         client.publish("bench", "f1", payload)  # first sight: validates
         result = benchmark(lambda: client.publish("bench", "f1", payload))
         assert result["clean"] is True and result["valid"] is True
@@ -87,7 +87,9 @@ def test_wire_fastpath_no_engine_misses(served):
             dict(workload.typing.items()),
             {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()},
         )
-        payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
+        payloads = {
+            f: tree_to_xml(doc).encode("utf-8") for f, doc in workload.initial_documents.items()
+        }
         for function, payload in payloads.items():
             client.publish("fast", function, payload)
 

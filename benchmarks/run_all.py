@@ -221,10 +221,12 @@ def _service_publish_state():
         _CLEANUPS.append(handle.close)
         client = ServiceClient(handle.host, handle.port)
         _CLEANUPS.append(client.close)
-        payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
+        documents = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
         client.register_design(
-            "bench", str(workload.kernel.tree), dict(workload.typing.items()), payloads
+            "bench", str(workload.kernel.tree), dict(workload.typing.items()), documents
         )
+        # Bytes ride as the frame's attachment, hashed exactly as received.
+        payloads = {f: text.encode("utf-8") for f, text in documents.items()}
         for function, payload in payloads.items():
             client.publish("bench", function, payload)  # first sight: validates
         _PUBLISH_STATE.update(client=client, payloads=payloads)
@@ -513,7 +515,7 @@ def _scenario_federation_publish(pods: int, peers: int, documents: int):
         pods=pods, spawn="thread",
     )
     _CLEANUPS.append(lambda: federation.close())
-    payloads = {f: tree_to_xml(doc) for f, doc in workload.initial_documents.items()}
+    payloads = {f: tree_to_xml(doc).encode("utf-8") for f, doc in workload.initial_documents.items()}
     for function, payload in payloads.items():
         federation.publish(function, payload)  # first sight: validates
     repeats = 4

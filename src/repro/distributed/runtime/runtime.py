@@ -218,7 +218,7 @@ class StreamIngest:
         "_hasher",
         "_run",
         "_malformed",
-        "_payload_bytes",
+        "payload_bytes",
         "_finished",
     )
 
@@ -237,7 +237,8 @@ class StreamIngest:
         self._hasher = payload_hasher()
         self._run = streaming_validator_for(peer.validator.compiled).run()
         self._malformed = False
-        self._payload_bytes = 0
+        #: Bytes hashed so far (a ``str`` chunk counts its UTF-8 bytes).
+        self.payload_bytes = 0
         self._finished = False
 
     def abort(self) -> None:
@@ -263,7 +264,7 @@ class StreamIngest:
             raise DesignError("this streamed publication is already settled")
         data = chunk.encode("utf-8") if isinstance(chunk, str) else chunk
         self._hasher.update(data)
-        self._payload_bytes += len(data)
+        self.payload_bytes += len(data)
         if not self._malformed:
             try:
                 self._run.feed(chunk)
@@ -321,7 +322,7 @@ class StreamIngest:
                 valid=runtime._acks[function],
                 # A clean skip of a malformed latest publication is one.
                 malformed=function in runtime._malformed_latest,
-                payload_bytes=self._payload_bytes,
+                payload_bytes=self.payload_bytes,
                 max_depth=run.max_depth,
                 events=run.events,
             )
@@ -332,7 +333,7 @@ class StreamIngest:
             validator = peer.validator
             runtime._malformed_latest.add(function)
         else:
-            peer.update_document(PublicationRecord(fingerprint, ack, validator, self._payload_bytes))
+            peer.update_document(PublicationRecord(fingerprint, ack, validator, self.payload_bytes))
             runtime._malformed_latest.discard(function)
         # A streamed publication supersedes any queued whole-payload one.
         runtime._pending_payloads.pop(function, None)
@@ -351,7 +352,7 @@ class StreamIngest:
             clean=False,
             valid=ack,
             malformed=malformed,
-            payload_bytes=self._payload_bytes,
+            payload_bytes=self.payload_bytes,
             max_depth=run.max_depth,
             events=run.events,
         )

@@ -134,7 +134,7 @@ async def _drive_closed(
     host: str,
     port: int,
     design: str,
-    lanes: list[list[tuple[str, str]]],
+    lanes: list[list[tuple[str, bytes]]],
     pipeline: int,
     stream_chunk_bytes: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
@@ -145,7 +145,7 @@ async def _drive_closed(
     counters = {"clean": 0, "errors": 0, "shed": 0, "retries": 0}
     noted = _retry_hook(counters)
 
-    async def lane_task(lane: list[tuple[str, str]]) -> None:
+    async def lane_task(lane: list[tuple[str, bytes]]) -> None:
         client = await AsyncServiceClient.connect(host, port)
         # With chunked streaming, a function's publications must still
         # settle in order even when the window has several in flight.
@@ -153,7 +153,7 @@ async def _drive_closed(
         try:
             window: set[asyncio.Task] = set()
 
-            async def one(function: str, payload: str) -> None:
+            async def one(function: str, payload: bytes) -> None:
                 trace_id = new_trace_id() if trace else None
                 started = time.perf_counter()
                 try:
@@ -208,7 +208,7 @@ async def _drive_open(
     host: str,
     port: int,
     design: str,
-    stream: list[tuple[str, str]],
+    stream: list[tuple[str, bytes]],
     clients: int,
     rate: float,
     stream_chunk_bytes: Optional[int] = None,
@@ -236,7 +236,7 @@ async def _drive_open(
 
         function_locks: dict[str, asyncio.Lock] = {}
 
-        async def one(client: AsyncServiceClient, function: str, payload: str) -> None:
+        async def one(client: AsyncServiceClient, function: str, payload: bytes) -> None:
             trace_id = new_trace_id() if trace else None
             started = time.perf_counter()
             try:
@@ -290,7 +290,8 @@ async def _run(
     retry: Optional[RetryPolicy],
     trace: bool,
 ) -> LoadReport:
-    stream = publication_stream(workload)
+    # Bytes ride as the frame's attachment, hashed exactly as received.
+    stream = [(function, text.encode("utf-8")) for function, text in publication_stream(workload)]
     setup = await AsyncServiceClient.connect(host, port)
     try:
         if register:
@@ -306,7 +307,7 @@ async def _run(
             # A function's publications stay on one lane, in order.
             functions = sorted({function for function, _payload in stream})
             lane_of = {f: i % clients for i, f in enumerate(functions)}
-            lanes: list[list[tuple[str, str]]] = [[] for _ in range(clients)]
+            lanes: list[list[tuple[str, bytes]]] = [[] for _ in range(clients)]
             for function, payload in stream:
                 lanes[lane_of[function]].append((function, payload))
             latencies, counters = await _drive_closed(

@@ -10,9 +10,11 @@ binary attachment::
 
 The JSON body carries the request/response structure (``op``, ``id``,
 parameters, results); the attachment carries *raw XML payload bytes* for
-``publish``/``validate`` so the server can hand them to the runtime's
-byte-level fingerprint fast path exactly as received -- no JSON string
-escaping ever touches the bytes that get hashed.
+``publish``/``validate`` and the stream ops so the server can hand them to
+the runtime's byte-level fingerprint fast path exactly as received -- no
+JSON string escaping ever touches the bytes that get hashed.  Text rides
+as the body's ``payload`` string instead, parsed as the characters it is
+(escaping makes non-ASCII text up to six times its UTF-8 size).
 
 Error handling is deliberately typed and connection-preserving: the reader
 distinguishes recoverable frame errors (oversized frame, unsupported

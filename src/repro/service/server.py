@@ -108,6 +108,10 @@ def _payload_of(body: dict, blob: bytes) -> Union[bytes, str]:
     payload = body.get("payload", "")
     if not isinstance(payload, str):
         raise OpError("bad-request", "'payload' must be XML text")
+    try:
+        payload.encode("utf-8")
+    except UnicodeEncodeError:  # a JSON "\ud800" escape decodes to a lone surrogate
+        raise OpError("bad-request", "'payload' holds a lone surrogate") from None
     return payload
 
 
@@ -178,7 +182,6 @@ class _StreamState:
     ingest: object  # repro.distributed.runtime.runtime.StreamIngest
     lock: asyncio.Lock
     function: str
-    received: int = 0
     #: Runtime shard whose stream slot this publication holds.
     shard: int = 0
     #: Loop time of the last frame touching this stream (TTL reaping).
@@ -1195,12 +1198,12 @@ class ValidationServer:
         connection.reaped.discard(stream_id)
         await self._feed_stream(state, data)
         return {"design": design_id, "function": function, "stream": stream_id,
-                "received": state.received}
+                "received": state.ingest.payload_bytes}
 
     async def _stream_chunk(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
         await self._feed_stream(state, _payload_of(body, blob))
-        return {"stream": body["stream"], "received": state.received}
+        return {"stream": body["stream"], "received": state.ingest.payload_bytes}
 
     async def _feed_stream(self, state: _StreamState, data: Union[bytes, str]) -> None:
         """Feed one frame's payload to an open stream, after its earlier frames."""
@@ -1209,7 +1212,6 @@ class ValidationServer:
                 await _feed(state.ingest, data)
             except ReproError:  # its connection died and discarded the stream
                 raise OpError("unknown-stream", "the publication stream was discarded") from None
-            state.received += len(data if isinstance(data, bytes) else data.encode("utf-8"))
 
     async def _stream_end(self, body: dict, blob: bytes, connection: "_Connection") -> dict:
         state = self._stream_state(body, connection)
