@@ -19,7 +19,10 @@ or removed scenarios are reported but never fail the check.
 Each scenario is timed twice: ``cold`` (fresh compilation engine every
 round -- the end-to-end cost of a first analysis) and ``warm`` (one shared
 engine -- the steady-state cost the serving layers see).  Means are over
-``--rounds`` rounds after one untimed warm-up round for the warm case.
+``--rounds`` rounds after one untimed warm-up round for the warm case; a
+scenario keeps timing warm rounds until :data:`MIN_WARM_SECONDS` have been
+timed, so a sub-millisecond mean does not rest on five rounds, and its
+entry records how many rounds it took.
 """
 
 from __future__ import annotations
@@ -605,11 +608,18 @@ def _scenarios(smoke: bool):
 # --------------------------------------------------------------------------- #
 
 
-def _time_rounds(run, rounds: int, fresh_engine: bool) -> tuple[list[float], object]:
-    """Time ``rounds`` runs; also returns the last run's return value.
+#: Least total time the warm rounds of one scenario are timed for.
+MIN_WARM_SECONDS = 0.05
 
-    Scenarios may return a dict of extra result keys (percentiles,
-    throughput) that gets merged into their ``BENCH_core.json`` entry.
+
+def _time_rounds(
+    run, rounds: int, fresh_engine: bool, min_seconds: float = 0.0
+) -> tuple[list[float], object]:
+    """Time at least ``rounds`` runs, and runs until ``min_seconds`` are timed.
+
+    Also returns the last run's return value.  Scenarios may return a dict
+    of extra result keys (percentiles, throughput) that gets merged into
+    their ``BENCH_core.json`` entry.
     """
     from repro.engine.compilation import reset_default_engine
 
@@ -618,7 +628,7 @@ def _time_rounds(run, rounds: int, fresh_engine: bool) -> tuple[list[float], obj
     if not fresh_engine:
         reset_default_engine()
         last = run()  # warm-up: populate the engine caches
-    for _ in range(rounds):
+    while len(times) < rounds or sum(times) < min_seconds:
         if fresh_engine:
             reset_default_engine()
         start = time.perf_counter()
@@ -631,12 +641,12 @@ def run_benchmarks(smoke: bool, rounds: int) -> dict:
     results = {}
     for name, (run, sizes) in _scenarios(smoke):
         cold, _ = _time_rounds(run, max(1, rounds // 3), fresh_engine=True)
-        warm, extra = _time_rounds(run, rounds, fresh_engine=False)
+        warm, extra = _time_rounds(run, rounds, fresh_engine=False, min_seconds=MIN_WARM_SECONDS)
         results[name] = {
             "mean_ms": round(1000 * statistics.mean(warm), 4),
             "min_ms": round(1000 * min(warm), 4),
             "cold_mean_ms": round(1000 * statistics.mean(cold), 4),
-            "rounds": rounds,
+            "rounds": len(warm),
             "sizes": sizes,
         }
         if isinstance(extra, dict):

@@ -189,7 +189,7 @@ class ResourcePeer(Peer):
             except ET.ParseError as error:
                 raise InvalidXMLError(f"malformed XML: {error}") from None
             fingerprint = "tree:" + tree_fingerprint(root)
-            ack = self.validator.compiled.accepts_element(root, payload)
+            ack = self.validator.compiled.accepts_element(root)
         else:
             ack = self.validator.validate_payload(payload)
         size = len(payload.encode("utf-8")) if isinstance(payload, str) else len(payload)

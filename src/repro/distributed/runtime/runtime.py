@@ -37,10 +37,11 @@
 * **Streamed ingest** -- :meth:`ValidationRuntime.publish_stream` /
   :meth:`ValidationRuntime.begin_stream` take the publication as *chunks*:
   each chunk is hashed and handed to the peer's
-  :class:`~repro.streaming.machine.StreamingRun`, whose expat callbacks
-  step the schema's label states as elements start and end -- one pass,
-  no element objects, so working memory is O(document depth) and the
-  verdict settles at ingest time (no validation round).  The peer's
+  :class:`~repro.streaming.machine.StreamingRun`, which folds the C
+  parser's elements into the schema's label states slice by slice and
+  deletes them -- one pass, so working memory is O(document depth) plus
+  one parser slice and the verdict settles at ingest time (no validation
+  round).  The peer's
   :class:`~repro.distributed.peer.PublicationRecord` keeps no bytes, so
   after a typing change a streamed publication must be re-published.
   Streamed and whole-frame publications dedupe against each other
@@ -246,10 +247,9 @@ class StreamIngest:
 
         What a severed connection or an idle-stream reaper calls: the
         runtime never learns the stream existed (no stats, no acks, no
-        document update), and the run drops its parser, so an abandoned
-        stream leaves no parser/run reference cycle for the garbage
-        collector.  A chunk still feeding on another thread stops at the
-        next element.  Idempotent, and safe to call after :meth:`finish`.
+        document update), and the run drops its parser.  A chunk still
+        feeding on another thread stops before its next parser slice.
+        Idempotent, and safe to call after :meth:`finish`.
         """
         self._finished = True
         self._run.abort()
@@ -299,8 +299,8 @@ class StreamIngest:
         run = self._run
         malformed = self._malformed
         ack = False
-        # Finish on every path, a clean one included: finishing drops the
-        # run's parser and with it the parser/run reference cycle.
+        # Finish on every path, a clean one included: the report's
+        # max_depth and events are exact only once the run is finished.
         if not malformed:
             try:
                 ack = run.finish()
@@ -375,7 +375,7 @@ class ValidationRuntime:
     Every peer validates through one :class:`CompiledSchema
     <repro.engine.batch.CompiledSchema>` per local type: ``publish`` folds
     the parsed payload, ``publish_stream`` steps the same label states
-    from its expat callbacks, chunk by chunk, in O(depth) memory.
+    over the parser's elements slice by slice, in O(depth) memory.
     """
 
     def __init__(

@@ -22,8 +22,9 @@ close mask (the states assignable if the element ended here) and a dict
 of memoized successors keyed by child mask.  After warm-up a child costs
 one dict probe, whichever driver steps the states: the Tree fold
 (:meth:`CompiledSchema.accepts`), the element fold over the C parser's
-output (:meth:`CompiledSchema.accepts_element`), or the expat callbacks of
-:class:`~repro.streaming.machine.StreamingRun`.
+output (:meth:`CompiledSchema.accepts_element`), or the incremental
+element fold of :class:`~repro.streaming.machine.StreamingRun`, which
+folds and prunes the C parser's output slice by slice.
 
 :class:`BatchValidator` is the user-facing wrapper: it validates one
 document, a batch of documents in a single pass, or produces a
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from repro.automata.kernel.compact import CompactNFA, iter_bits
+from repro.errors import InvalidXMLError
 from repro.trees.automata import UnrankedTreeAutomaton
 from repro.trees.document import Tree
 
@@ -325,33 +327,30 @@ class CompiledSchema:
         One pass of the C parser (:func:`parse_payload`), then
         :meth:`accepts_element` over the parsed elements.  Nothing is
         memoized per document -- a publication is validated once, so an
-        identity memo would only pin it.  A payload the parser rejects is
-        replayed through the streaming run, which raises the same typed
-        :class:`~repro.errors.InvalidXMLError` the streaming surface does.
+        identity memo would only pin it.  Malformed input raises
+        :class:`~repro.errors.InvalidXMLError` with the parser's message,
+        as every parsing surface does.
         """
         try:
             root = parse_payload(payload)
-        except ET.ParseError:
-            return self._replay(payload)
-        return self.accepts_element(root, payload)
+        except ET.ParseError as error:
+            raise InvalidXMLError(f"malformed XML: {error}") from None
+        return self.accepts_element(root)
 
-    def accepts_element(self, root: ET.Element, payload: Union[bytes, str]) -> bool:
-        """Membership of a document the C parser already parsed from ``payload``.
+    def accepts_element(self, root: ET.Element) -> bool:
+        """Membership of a document the C parser already parsed.
 
         The element fold over the parsed elements.  A document too deep
-        for the recursive fold gets its verdict by replaying ``payload``
-        through the iterative streaming run.
+        for the recursive fold gets its verdict from the streaming run's
+        iterative fold.
         """
         try:
             mask = self._element_mask(root)
         except RecursionError:
-            return self._replay(payload)
+            from repro.streaming.machine import streaming_validator_for
+
+            return streaming_validator_for(self, self.engine).validate_element(root)
         return bool(mask & self._finals_mask)
-
-    def _replay(self, payload: Union[bytes, str]) -> bool:
-        from repro.streaming.machine import streaming_validator_for
-
-        return streaming_validator_for(self, self.engine).validate_payload(payload)
 
 
 @dataclass(frozen=True)

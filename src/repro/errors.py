@@ -33,8 +33,10 @@ class InvalidXMLError(ReproError, ValueError):
     """An XML payload is not well-formed (or was truncated mid-document).
 
     Raised by every parsing surface of the library --
-    :func:`repro.trees.xml_io.tree_from_xml` and the streaming run of
-    :mod:`repro.streaming.machine` -- so that the runtime and the network
+    :func:`repro.trees.xml_io.tree_from_xml`, the bytes entry
+    :meth:`repro.engine.batch.BatchValidator.validate_payload` and the
+    streaming run of :mod:`repro.streaming.machine`, all with the message
+    of ElementTree's parser -- so that the runtime and the network
     service map malformed publications to one typed error (wire code
     ``invalid-xml``) without special-casing stdlib exceptions.
     """

@@ -1,21 +1,22 @@
-"""Event-driven streaming validation: wire bytes to verdict, no tree.
+"""Streaming validation: wire bytes to verdict in O(depth) memory.
 
-Every other validation path of the library materialises a
-:class:`~repro.trees.document.Tree` or the C parser's element tree before
-the compact-DFA run loop of :class:`~repro.engine.batch.CompiledSchema`
-fires.  This package is the execution mode that never does:
+Every other validation path of the library holds the whole document --
+a :class:`~repro.trees.document.Tree`, or the C parser's element tree --
+before the compact-DFA fold of :class:`~repro.engine.batch.CompiledSchema`
+runs.  This package is the execution mode that never does:
 
-* :mod:`repro.streaming.events` configures the expat parser that turns
-  XML *bytes* -- fed chunk by chunk, no contiguous buffer required -- into
-  element start and end callbacks, classifying malformed input exactly
-  like ElementTree;
-* :mod:`repro.streaming.machine` owns one such parser per document and
-  steps one label state per *open* element (a stack, not a tree)
-  straight from those callbacks -- the states the batch folds step too --
-  producing exactly the verdict
-  :class:`~repro.engine.batch.BatchValidator` would, for DTDs, SDTDs and
-  EDTDs alike, in O(depth) working memory, rejecting early the moment no
-  state assignment can exist any more.
+* :mod:`repro.streaming.machine` owns one ElementTree C parser per
+  document and feeds it XML *bytes* -- chunk by chunk, no contiguous
+  buffer required -- one bounded slice at a time.  After each slice it
+  folds every element the slice completed into its parent's label state
+  (the states the batch folds step too) and deletes it, so it holds the
+  open root-to-leaf path plus one slice's elements.  It produces exactly
+  the verdict :class:`~repro.engine.batch.BatchValidator` would, for
+  DTDs, SDTDs and EDTDs alike, classifies malformed input exactly like
+  :func:`~repro.trees.xml_io.tree_from_xml`, and rejects early once no
+  state assignment can exist any more;
+* :mod:`repro.streaming.events` cuts whole payloads into the bounded
+  chunks the wire and CLI surfaces feed.
 
 The distributed runtime (:meth:`ValidationRuntime.publish_stream`), the
 network service (the ``publish_stream_*`` operations) and the public

@@ -1,45 +1,57 @@
-"""The streaming validator: one label state per open element, no tree.
+"""The streaming validator: the C parser builds, the run folds and prunes.
 
 :class:`~repro.engine.batch.CompiledSchema` validates bottom-up: a node's
 set of assignable vertical states is a bitmask, computed from its
 children's masks by the lazily determinized automaton of the node's label
-(:class:`~repro.engine.batch.LabelState`).  That recursion needs the whole
-tree -- but its *data flow* is exactly a stack: a label state consumes its
-children's masks in document order, and a child's mask is final the
-moment the child closes.
+(:class:`~repro.engine.batch.LabelState`).  A child's mask is final the
+moment the child is complete, so the fold never needs more of a document
+than its open root-to-leaf path and the children it has not read yet.
 
-:class:`StreamingRun` exploits this.  The run owns an expat parser
-(:func:`~repro.streaming.events.element_parser`) whose callbacks do the
-work: an element start pushes its label's initial state, an element end
-pops the element's state, reads its close mask and steps the parent's
-state on it -- one dict probe once the schema's tables are warm.  Working
-memory is one state reference per open element; the states themselves
-live in the schema's bounded, shared tables, and no per-node allocation
-survives an element's end.
+:class:`StreamingRun` exploits this.  It feeds its input, one bounded
+slice at a time, to ElementTree's C parser and tree builder, which build
+the slice's elements with no Python call per element.  The builder
+reports no end tags, but an element with a later sibling is complete.
+So after each slice the run walks the open path -- the last child at
+each level -- folds every complete element into its parent's label state
+(the fold the bytes entry takes over whole payloads: one dict probe per
+child once the schema's tables are warm) and deletes it.  Between slices
+the run holds one element and one label state per level of the open
+path: O(depth).  :meth:`StreamingRun.finish` folds the open path
+bottom-up.  The fold recurses; a subtree too deep for the recursion limit
+is redone by an iterative walk, which also finds the exact event at
+which an invalid document dies.
 
 Verdicts are **identical** to :meth:`BatchValidator.validate` for every
 schema kind: the run steps the very states the Tree fold
-(:meth:`CompiledSchema._possible_mask`) steps, in the same order.
+(:meth:`CompiledSchema._possible_mask`) steps, in the same order.  It
+parses with the parser :func:`~repro.trees.xml_io.tree_from_xml` uses, so
+it classifies malformed input identically too.
 
-Early rejection: the instant some element's mask is empty (no rule of its
-label survived), every rule of an element's label dies, or an element's
-label has no rule at all, no state assignment can exist for any completion
-of the document, so the run dies immediately (``rejected_at`` records the
-event index).  The run then swaps in callbacks that only count events and
-depth, and keeps parsing, so a document that is both invalid and malformed
-is still classified as malformed, matching the parse-first tree path.
+Early rejection: once some element's mask is empty (no rule of its label
+survived), every rule of an element's label dies, or an element's label
+has no rule at all, no state assignment can exist for any completion of
+the document, so the run dies (``rejected_at`` records the event index).
+It notices at the first prune after the offending element is known to
+be complete, or at :meth:`~StreamingRun.finish`.  A dead run keeps parsing and only
+counts the rest, so a document that is both invalid and malformed is
+still classified as malformed, matching the parse-first tree path.
 """
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from typing import Iterable, Optional, Union
-from xml.parsers.expat import ExpatError
 
 from repro.engine.batch import CompiledSchema
 from repro.errors import InvalidXMLError
-from repro.streaming.events import element_parser, expat_name, iter_chunks
+from repro.streaming.events import iter_chunks
 
 __all__ = ["StreamingRun", "StreamingValidator", "streaming_validator_for"]
+
+#: Most input (bytes, or characters of a ``str`` chunk) the C parser
+#: reads between two prunes.  The elements of one slice are what a run
+#: holds beyond its open path, about 100 bytes per element.
+SLICE = 1 << 12
 
 
 def streaming_validator_for(schema, engine=None) -> "StreamingValidator":
@@ -63,24 +75,19 @@ def streaming_validator_for(schema, engine=None) -> "StreamingValidator":
 
 
 class StreamingValidator:
-    """A schema compiled for event-driven validation (many runs, one machine).
+    """A schema compiled for streaming validation (many runs, one machine).
 
     Wraps the same :class:`CompiledSchema` the batch path uses, so stream
     runs, Tree folds and element folds step one set of label states.
     """
 
-    __slots__ = ("compiled", "_initial")
+    __slots__ = ("compiled",)
 
     def __init__(self, schema, engine=None) -> None:
         if isinstance(schema, CompiledSchema):
             self.compiled = schema
         else:
             self.compiled = CompiledSchema(schema, engine)
-        #: label, as expat names it (:func:`~repro.streaming.events.expat_name`)
-        #: -> the label's initial state, so no string work runs per event.
-        self._initial = {
-            expat_name(label): state for label, state in self.compiled._initial.items()
-        }
 
     @property
     def schema(self):
@@ -113,19 +120,37 @@ class StreamingValidator:
         """Validate one whole payload (sliced into bounded chunks internally)."""
         return self.validate_chunks(iter_chunks(payload, chunk_bytes))
 
+    def validate_element(self, root: ET.Element) -> bool:
+        """Membership of a document the C parser already parsed, at any depth.
+
+        The run's iterative fold, for documents too deep for the recursive
+        :meth:`CompiledSchema.accepts_element`.  ``root`` is only read.
+        """
+        run = StreamingRun(self)
+        run._parser = None
+        run._path[0].append(root)
+        return run._settle()
+
+
+class _Rejected(Exception):
+    """The fast fold stepped into a dead state."""
+
 
 class StreamingRun:
-    """Validating one document: an expat parser stepping label states.
+    """Validating one document: a C-built element tree, folded and pruned.
 
-    :meth:`feed` hands each chunk to the run's own expat parser, whose
-    start and end callbacks push and step the label states directly;
-    :meth:`finish` ends the input and returns the verdict.  Malformed or
-    truncated input raises :class:`~repro.errors.InvalidXMLError`.  One
-    run parses one document.
+    :meth:`feed` parses each chunk, at most :data:`SLICE` of it at a time,
+    and after each slice folds and deletes the elements the slice showed
+    complete (a run deeper than ``SLICE / 8`` levels does so only every 8
+    bytes per level); :meth:`finish` ends the input and returns the
+    verdict.  Malformed or truncated input raises
+    :class:`~repro.errors.InvalidXMLError`.  One run parses one document.
 
-    The parser holds the run's bound methods, so the two form a reference
-    cycle; the run drops its parser on :meth:`finish`, on a parse error
-    and on :meth:`abort`, leaving nothing for the cyclic collector.
+    The builder reports no end tags, so the run learns that an element
+    ended only once a later start tag, or :meth:`finish`, is parsed.
+    Until then :attr:`events` counts the element as open, and a rejection
+    its end causes is not yet reported.  Every value read after
+    :meth:`finish` is exact.
     """
 
     __slots__ = (
@@ -133,29 +158,38 @@ class StreamingRun:
         "_step",
         "_finals_mask",
         "_parser",
-        "_stack",
-        "_depth",
-        "_max_depth",
+        "_path",
+        "_states",
         "_opens",
+        "_unpruned",
+        "_max_depth",
         "_rejected_at",
         "_root_mask",
     )
 
     def __init__(self, machine: StreamingValidator) -> None:
-        self._initial = machine._initial
-        self._step = machine.compiled._step
-        self._finals_mask = machine.compiled._finals_mask
-        self._parser = element_parser(self._open, self._close)
-        #: One label state per open element -- O(depth) live references
-        #: into the schema's shared tables, nothing allocated per element.
-        self._stack: list = []
-        #: Open elements once the run is dead (the state stack is dropped).
-        self._depth = 0
-        self._max_depth = 0
-        #: Element starts seen.  Every end closes an open element, so the
-        #: events so far are ``2 * opens - open elements``: only starts
-        #: need counting.
+        compiled = machine.compiled
+        self._initial = compiled._initial
+        self._step = compiled._step
+        self._finals_mask = compiled._finals_mask
+        builder = ET.TreeBuilder()
+        self._parser = ET.XMLParser(target=builder)
+        #: The open path.  First a wrapper element, opened on the builder
+        #: before any input so that the document's root becomes its child;
+        #: then the last child at each level, so ``_path[depth]`` sits at
+        #: ``depth``.  A path element keeps only its last child: the others
+        #: are complete, folded and deleted.
+        self._path: list = [builder.start("", {})]
+        #: Per path element, its label state after the children folded so
+        #: far (``None`` for the wrapper, and all ``None`` once dead).
+        self._states: list = [None]
+        #: Element starts seen.  An element leaves the open path once it is
+        #: known to be complete, so the events so far are ``2 * opens`` less
+        #: the elements on the path.
         self._opens = 0
+        #: Input parsed since the last prune.
+        self._unpruned = 0
+        self._max_depth = 0
         self._rejected_at: Optional[int] = None
         self._root_mask: Optional[int] = None
 
@@ -180,9 +214,8 @@ class StreamingRun:
 
     @property
     def events(self) -> int:
-        """Element starts plus element ends seen so far."""
-        depth = self._depth if self._rejected_at is not None else len(self._stack)
-        return 2 * self._opens - depth
+        """Element starts plus the element ends known so far."""
+        return 2 * self._opens - len(self._path) + 1
 
     @property
     def root_mask(self) -> Optional[int]:
@@ -196,8 +229,18 @@ class StreamingRun:
     # ------------------------------------------------------------------ #
 
     def feed(self, chunk: Union[bytes, str]) -> None:
-        """Parse one chunk of any size, stepping the states it completes."""
-        self._parse(chunk, False)
+        """Parse one chunk of any size, folding the elements it completes."""
+        parser = self._parser
+        if parser is None:
+            raise InvalidXMLError("this run is finished; one run parses one document")
+        if len(chunk) <= SLICE:
+            self._parse(parser, chunk)
+            return
+        data = chunk if isinstance(chunk, str) else memoryview(chunk)
+        for start in range(0, len(data), SLICE):
+            if self._parser is not parser:  # aborted from another thread
+                return
+            self._parse(parser, data[start : start + SLICE])
 
     def finish(self) -> bool:
         """End the input; the document's BatchValidator-identical verdict.
@@ -205,88 +248,203 @@ class StreamingRun:
         Raises :class:`~repro.errors.InvalidXMLError` when the document is
         truncated or empty, even if it was already rejected.
         """
-        self._parse(b"", True)
+        parser = self._parser
+        if parser is None:
+            raise InvalidXMLError("this run is finished; one run parses one document")
         self._parser = None
-        if self._rejected_at is not None:
-            return False
-        return bool(self._root_mask & self._finals_mask)
+        try:
+            parser.close()
+        except ET.ParseError as error:
+            raise InvalidXMLError(f"malformed XML: {error}") from None
+        return self._settle()
 
     def abort(self) -> None:
         """Drop the parser without a verdict (idempotent).
 
         A feed may still be running on another thread (a dying connection
-        aborts its streams): clearing the callbacks silences it.
+        aborts its streams): it stops before its next slice.
         """
-        parser, self._parser = self._parser, None
-        if parser is not None:
-            parser.StartElementHandler = parser.EndElementHandler = None
+        self._parser = None
 
-    def _parse(self, data: Union[bytes, str], final: bool) -> None:
-        parser = self._parser
-        if parser is None:
-            raise InvalidXMLError("this run is finished; one run parses one document")
+    def _parse(self, parser: ET.XMLParser, data) -> None:
         try:
-            parser.Parse(data, final)
-        except ExpatError as error:
+            parser.feed(data)
+        except ET.ParseError as error:
             self._parser = None
             raise InvalidXMLError(f"malformed XML: {error}") from None
-        except InvalidXMLError:  # an entity reference the parser refused
-            self._parser = None
-            raise
+        # A prune scans the open path, so a run deeper than SLICE / 8
+        # levels prunes only every 8 bytes per level: the scans stay linear
+        # in the input, and what it holds stays O(depth).
+        self._unpruned += len(data)
+        if self._unpruned + SLICE >= 8 * len(self._path):
+            self._unpruned = 0
+            self._prune()
+
+    def _settle(self) -> bool:
+        """Fold the open path of a complete document; its verdict."""
+        self._walk(-1)
+        del self._path[0][:]
+        if self._rejected_at is not None:
+            return False
+        return bool(self._root_mask & self._finals_mask)
 
     # ------------------------------------------------------------------ #
-    # parser callbacks
+    # the fold
     # ------------------------------------------------------------------ #
 
-    def _open(self, name: str, _attributes) -> None:
-        self._opens += 1
-        state = self._initial.get(name)
-        stack = self._stack
-        if state is None:
-            # No rule can ever assign a state to this element: its mask
-            # will be 0, so no completion of the document is valid.
-            self._reject(len(stack) + 1)
-            return
-        stack.append(state)
-        if len(stack) > self._max_depth:
-            self._max_depth = len(stack)
-
-    def _close(self, _name: str) -> None:
-        stack = self._stack
-        # The closed element's mask -- its set of assignable states -- is
-        # the symbol-set its parent's label state reads next.  A zero mask
-        # steps to the dead state like a parent whose every rule died.
-        mask = stack.pop().close
-        if stack:
-            parent = stack[-1]
-            state = parent.next.get(mask)
-            if state is None:
-                state = self._step(parent, mask)
-            if state:
-                stack[-1] = state
+    def _prune(self) -> None:
+        """Fold and delete every element the last slice showed complete."""
+        path = self._path
+        last = len(path) - 1
+        # The topmost path element with a child after the next path
+        # element: everything below it on the path is complete.  Failing
+        # that, only the deepest can have gained children.
+        for level in range(last):
+            if len(path[level]) > 1:
+                break
+        else:
+            level = last
+            if not len(path[last]):
                 return
-        elif mask:
-            self._root_mask = mask
-            return
-        self._reject(len(stack))
+        if self._rejected_at is None:
+            max_depth = self._max_depth
+            try:
+                self._fold_slice(level)
+                return
+            except (_Rejected, KeyError, RecursionError):
+                # A rejection (a label without rules raises KeyError) or a
+                # subtree too deep to recurse: nothing is committed yet, so
+                # the exact walk redoes the slice.
+                self._max_depth = max_depth
+        self._walk(level)
 
-    def _reject(self, depth: int) -> None:
-        """Die at the current event; from here on only count the rest."""
-        self._rejected_at = 2 * self._opens - depth
-        self._stack = []
-        self._depth = depth
+    def _fold_slice(self, level: int) -> None:
+        """:meth:`_prune`'s fast path: recursive, and counts no events.
+
+        Raises on a rejection; commits nothing before it returns.
+        """
+        path, states, fold = self._path, self._states, self._fold
+        mask = None
+        for depth in range(len(path) - 1, level, -1):  # complete, deepest first
+            element, state = path[depth], states[depth]
+            if mask is None:
+                state = fold(state, element, depth + 1)
+            else:
+                state = fold(self._advance(state, mask), element[1:], depth + 1)
+            mask = state.close
+        element, state = path[level], states[level]
+        if mask is None:  # the deepest; the wrapper (no state) has only the root
+            state = fold(state, element[:-1], level + 1)
+        else:
+            state = fold(self._advance(state, mask), element[1:-1], level + 1)
+        # The new open path below ``level``: the chain of last children.
+        chain, chain_states = [], [state]
+        depth = level
+        while len(element):
+            element = element[-1]
+            depth += 1
+            state = self._initial[element.tag]
+            if len(element):
+                state = fold(state, element[:-1], depth + 1)
+            chain.append(element)
+            chain_states.append(state)
+        # Every element below ``level`` is new but the old path's.
+        self._opens += sum(map(len, path[level].iter())) - (len(path) - 1 - level)
         if depth > self._max_depth:
             self._max_depth = depth
-        parser = self._parser
-        if parser is not None:  # None only once aborted from another thread
-            parser.StartElementHandler = self._open_dead
-            parser.EndElementHandler = self._close_dead
+        del path[level + 1 :]
+        del states[level:]
+        path += chain
+        states += chain_states
+        for element in path[level:-1]:
+            del element[:-1]
 
-    def _open_dead(self, _name: str, _attributes) -> None:
-        self._opens += 1
-        self._depth += 1
-        if self._depth > self._max_depth:
-            self._max_depth = self._depth
+    def _advance(self, state, mask: int):
+        following = state.next.get(mask)
+        if following is None:
+            following = self._step(state, mask)
+        if not following:
+            raise _Rejected
+        return following
 
-    def _close_dead(self, _name: str) -> None:
-        self._depth -= 1
+    def _fold(self, state, children, depth: int):
+        """``state`` stepped over complete ``children`` that sit at ``depth``."""
+        if depth > self._max_depth and len(children):
+            self._max_depth = depth
+        initial, step = self._initial, self._step
+        for child in children:
+            if len(child):
+                mask = self._fold(initial[child.tag], child, depth + 1).close
+            else:
+                mask = initial[child.tag].close
+            following = state.next.get(mask)
+            if following is None:
+                following = step(state, mask)
+            if not following:
+                raise _Rejected
+            state = following
+        return state
+
+    def _walk(self, level: int) -> None:
+        """:meth:`_prune`'s exact path: iterative, counting every event.
+
+        A depth-first walk resumed from the open path.  Path elements
+        deeper than ``level`` are complete (all of them for ``level`` -1,
+        the whole document), and so is every element with a later
+        sibling.  It dies at the exact event, then only counts; a dead
+        run prunes with it, and so does a slice the fast fold could not
+        finish.
+        """
+        path, initial, step = self._path, self._initial, self._step
+        alive = self._rejected_at is None
+        opens, max_depth = self._opens, self._max_depth
+        events = 2 * opens - len(path) + 1
+        # One frame per open element: [element, state, next child, complete].
+        stack = [
+            [element, state, 1, depth > level]
+            for depth, (element, state) in enumerate(zip(path, self._states))
+        ]
+        stack[-1][2] = 0
+        while True:
+            frame = stack[-1]
+            element, state, index, complete = frame
+            if index < len(element):
+                frame[2] = index + 1
+                child = element[index]
+                opens += 1
+                events += 1
+                if len(stack) > max_depth:
+                    max_depth = len(stack)
+                child_state = initial.get(child.tag) if alive else None
+                if alive and child_state is None:
+                    alive = False
+                    self._rejected_at = events
+                stack.append([child, child_state, 0, complete or index + 1 < len(element)])
+                continue
+            if not complete or len(stack) == 1:
+                break
+            stack.pop()
+            events += 1
+            if not alive:
+                continue
+            # The closed element's mask is the symbol its parent reads
+            # next; a zero mask steps to the dead state.
+            mask = state.close
+            parent = stack[-1]
+            if len(stack) > 1:
+                following = parent[1].next.get(mask)
+                if following is None:
+                    following = step(parent[1], mask)
+                if following:
+                    parent[1] = following
+                    continue
+            elif mask:
+                self._root_mask = mask
+                continue
+            alive = False
+            self._rejected_at = events
+        self._opens, self._max_depth = opens, max_depth
+        self._path = [frame[0] for frame in stack]
+        self._states = [frame[1] if alive else None for frame in stack]
+        for element in self._path[max(level, 0) : -1]:
+            del element[:-1]

@@ -157,7 +157,7 @@ class TestPublishStream:
 
 class TestNoCyclicGarbage:
     def test_streams_leave_nothing_for_the_cyclic_collector(self, workload, runtime):
-        """A stream's parser and run refer to each other; every ending breaks that.
+        """Every ending of a stream leaves nothing for the cyclic collector.
 
         Valid, malformed and aborted streams must all be freed by reference
         counting alone, so the collector finds nothing after 150 of them.

@@ -2,8 +2,8 @@
 
 :class:`~repro.engine.batch.CompiledSchema` steps one set of lazily
 determinized label states from three drivers -- the Tree fold, the element
-fold of the bytes entry, and the expat callbacks of a stream run -- and the
-runtime publishes through the last two.  The oracle is
+fold of the bytes entry, and the incremental element fold of a stream run --
+and the runtime publishes through the last two.  The oracle is
 ``schema.validate(tree_from_xml(payload))``: the schema's set-based
 membership (DTD content models, the SDTD witness, the EDTD's set-based
 tree automaton), which shares no code with ``CompiledSchema``.
@@ -41,7 +41,7 @@ from repro.distributed.runtime import ValidationRuntime
 from repro.engine import BatchValidator, CompilationEngine, CompiledSchema
 from repro.engine.batch import LABEL_DFA_KIND
 from repro.errors import InvalidXMLError, NotSingleTypeError
-from repro.streaming import StreamingValidator
+from repro.streaming import StreamingValidator, iter_chunks
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_from_xml, tree_to_xml
@@ -278,6 +278,46 @@ class TestClassificationIdentity:
         # reference, and the bytes entry must replay into it.
         assert machine.validate_payload(nested) is False
         assert batch.validate_payload(nested) is False
+
+    #: ``r -> a, b``: a complete subtree far deeper than the recursion
+    #: limit that is not a last child, so it folds before ``<r>`` ends.
+    DEEP_SCHEMA = dtd("r", {"r": "a, b", "a": "a?", "b": "ε"})
+    DEEP = 5000
+    DEEP_SIBLING = b"<r>" + b"<a>" * DEEP + b"</a>" * DEEP + b"<b/></r>"
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 65536, 8192], ids=["whole", "64KiB", "8KiB"])
+    @pytest.mark.parametrize(
+        "payload, expected, rejected_at",
+        [
+            pytest.param(DEEP_SIBLING, True, None, id="valid"),
+            # <c> has no rule: the run dies at its start, after 1 + 2 * DEEP events.
+            pytest.param(DEEP_SIBLING.replace(b"<b/>", b"<c/>"), False, 2 * DEEP + 2, id="invalid"),
+        ],
+    )
+    def test_deep_complete_subtree_folds_without_recursion_limit(
+        self, payload, expected, rejected_at, chunk_bytes
+    ):
+        run = StreamingValidator(self.DEEP_SCHEMA).run()
+        for chunk in [payload] if chunk_bytes is None else iter_chunks(payload, chunk_bytes):
+            run.feed(chunk)
+        assert run.finish() is expected
+        assert (run.rejected_at, run.events, run.max_depth) == (
+            rejected_at,
+            2 * (self.DEEP + 2),
+            self.DEEP + 1,
+        )
+        assert BatchValidator(self.DEEP_SCHEMA).validate_payload(payload) is expected
+
+    def test_deep_subtree_within_one_chunk_keeps_exact_counters(self):
+        """A complete subtree just past the recursion limit, small enough to parse at once."""
+        depth = sys.getrecursionlimit() + 100
+        payload = b"<r>" + b"<a>" * depth + b"</a>" * depth + b"<b/></r>"
+        for chunk_bytes in (len(payload), 4096, 1):
+            run = StreamingValidator(self.DEEP_SCHEMA).run()
+            for chunk in iter_chunks(payload, chunk_bytes):
+                run.feed(chunk)
+            assert run.finish() is True
+            assert (run.rejected_at, run.events, run.max_depth) == (None, 2 * (depth + 2), depth + 1)
 
 
 @pytest.mark.usefixtures("label_tables")

@@ -178,12 +178,15 @@ class TestEarlyRejectPositions:
         # 'field' that follows the optional trailing 'stamp' is the first
         # event after which no completion exists -- the run must die
         # exactly there, not at the record's (never seen) close.
+        # The run learns that an element ended from the next start tag.
         run = machine.run()
         run.feed(b"<s><record><key/><stamp/>")
         assert not run.rejected
         run.feed(b"<field/>")
+        field_end = run.events + 1  # <field/> still counts as open
+        run.feed(b"<key/>")
         assert run.rejected
-        assert run.rejected_at == run.events
+        assert run.rejected_at == field_end == 8
 
     def test_early_reject_still_counts_remaining_events_cheaply(self):
         schema = SCHEMAS["DTD"]

@@ -1,13 +1,16 @@
-"""Tests for the expat element events a streaming run parses."""
+"""Tests for the element structure a streaming run parses and counts."""
 
 from __future__ import annotations
+
+import gc
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from repro.api import dtd
 from repro.errors import InvalidXMLError, ReproError
 from repro.streaming import StreamingValidator
-from repro.streaming.events import expat_name, iter_chunks
+from repro.streaming.events import iter_chunks
 
 SCHEMA = dtd("r", {"r": "a?, b?", "b": "c"})
 
@@ -48,10 +51,6 @@ class TestEventSequence:
     def test_iter_chunks_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             list(iter_chunks(b"abc", 0))
-
-    def test_namespaced_labels_use_expat_names(self):
-        assert expat_name("{urn:x}r") == "urn:x}r"
-        assert expat_name("r") == "r"
 
 
 class TestTypedErrors:
@@ -106,9 +105,21 @@ class TestTypedErrors:
 
 class TestMemoryDiscipline:
     def test_closed_siblings_do_not_accumulate(self):
-        """The O(depth) claim: one frame per open element, none per closed one."""
-        run = StreamingValidator(dtd("r", {"r": "a*"})).run()
-        run.feed(b"<r>" + b"<a/>" * 500)
-        assert run.events == 1001
+        """The O(depth) claim: a run retains its open path, not the closed siblings."""
+
+        def live_elements() -> int:
+            return sum(1 for thing in gc.get_objects() if isinstance(thing, ET.Element))
+
+        machine = StreamingValidator(dtd("r", {"r": "a*"}))
+        before = live_elements()
+        run = machine.run()
+        run.feed(b"<r>" + b"<a/>" * 5000)  # many parser slices
+        # The wrapper the run opens, <r> and the last <a/>, which the
+        # builder also holds as the element it last started.
+        assert live_elements() - before == 3
+        # The last <a/> has no later sibling yet, so it still counts as open.
+        assert run.events == 10000
         assert run.max_depth == 2
-        assert len(run._stack) == 1  # only the root is open
+        run.feed(b"<a/></r>")
+        assert run.finish() is True
+        assert run.events == 10004

@@ -89,16 +89,19 @@ class TestEarlyRejection:
     def test_dead_parent_rules_reject_before_document_ends(self):
         # 'field' before 'key' kills the record rule the moment the
         # misplaced child closes -- long before the record itself ends.
+        # The run learns that the field closed from the next start tag.
         machine = StreamingValidator(RECORD_DTD)
         run = machine.run()
-        run.feed(b"<s><record><field/>")  # field closes: record's content model is now dead
+        run.feed(b"<s><record><field/>")
+        run.feed(b"<key/>")  # field closed: record's content model is now dead
         assert run.rejected
         assert run.rejected_at == 4
         # Further events are only counted; the verdict is fixed.
-        run.feed(b"<key/></record></s>")
+        run.feed(b"</record></s>")
+        assert run.rejected_at == 4
+        assert run.finish() is False
         assert run.rejected_at == 4
         assert run.events == 8
-        assert run.finish() is False
 
     def test_rejection_depth_keeps_counting(self):
         machine = StreamingValidator(RECORD_DTD)

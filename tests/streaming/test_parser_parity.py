@@ -1,11 +1,11 @@
 """Parser parity: every stream surface classifies input like ElementTree.
 
-The streaming run parses with bare expat, while the oracle -- the tree
-path -- parses with ElementTree, which wraps the same expat but names
-namespaced elements differently and refuses some entity references bare
-expat would skip.  One table of payloads covers those differences
+Every stream surface parses with ElementTree's parser, like the oracle
+-- the tree path.  Bare expat, which a CI lint keeps out of the library,
+names namespaced elements differently and skips some entity references
+ElementTree refuses.  One table of payloads covers those differences
 (namespaces, internal and external entities), the malformed shapes, the
-encodings expat has to honour, and markup hidden in comments and CDATA.
+encodings the parser has to honour, and markup hidden in comments and CDATA.
 Each payload goes whole and in 1-byte chunks through every surface that
 streams: the validator, the bytes entry, the runtime and the service.  The
 outcome -- verdict or ``invalid-xml`` -- must equal the tree path's.  The
