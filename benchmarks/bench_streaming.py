@@ -58,6 +58,10 @@ def deep_payload(depth: int) -> bytes:
     return b"<a>" * depth + b"</a>" * depth
 
 
+def text_payload(size: int) -> bytes:
+    return b"<r>" + b"x" * size + b"</r>"
+
+
 # --------------------------------------------------------------------------- #
 # pytest-benchmark view
 # --------------------------------------------------------------------------- #
@@ -162,6 +166,14 @@ def smoke() -> dict:
     assert wide_peak < 2 * narrow_peak + 65536, (
         f"streaming peak grew with document width: {narrow_peak} -> {wide_peak} bytes"
     )
+    # Character data is never read, so a run keeps none of it: a 64 MiB
+    # text node fed in 64 KiB chunks costs no more than the narrow
+    # document.
+    text_peak = _streaming_peak(machine, text_payload(64 << 20), chunk_bytes=65536)
+    assert text_peak < 2 * narrow_peak + 65536, (
+        f"streaming peak grew with text length: {text_peak} bytes for 64 MiB of text "
+        f"(narrow streaming peak {narrow_peak} bytes)"
+    )
     # The same bound holds on the runtime's ingest, the path the service
     # takes for streamed publications.
     runtime_peak = _runtime_peak(wide_payload(40_000), chunk_bytes=8192)
@@ -195,6 +207,7 @@ def smoke() -> dict:
         "differential_documents": len(pairs),
         "wide_narrow_peak_bytes": narrow_peak,
         "wide_wide_peak_bytes": wide_peak,
+        "text_64mib_peak_bytes": text_peak,
         "runtime_wide_peak_bytes": runtime_peak,
         "tree_peak_bytes": tree_peak,
         "deep_depth_validated": depth,

@@ -19,10 +19,7 @@ or removed scenarios are reported but never fail the check.
 Each scenario is timed twice: ``cold`` (fresh compilation engine every
 round -- the end-to-end cost of a first analysis) and ``warm`` (one shared
 engine -- the steady-state cost the serving layers see).  Means are over
-``--rounds`` rounds after one untimed warm-up round for the warm case; a
-scenario keeps timing warm rounds until :data:`MIN_WARM_SECONDS` have been
-timed, so a sub-millisecond mean does not rest on five rounds, and its
-entry records how many rounds it took.
+``--rounds`` rounds after one untimed warm-up round for the warm case.
 """
 
 from __future__ import annotations
@@ -608,18 +605,11 @@ def _scenarios(smoke: bool):
 # --------------------------------------------------------------------------- #
 
 
-#: Least total time the warm rounds of one scenario are timed for.
-MIN_WARM_SECONDS = 0.05
+def _time_rounds(run, rounds: int, fresh_engine: bool) -> tuple[list[float], object]:
+    """Time ``rounds`` runs; also returns the last run's return value.
 
-
-def _time_rounds(
-    run, rounds: int, fresh_engine: bool, min_seconds: float = 0.0
-) -> tuple[list[float], object]:
-    """Time at least ``rounds`` runs, and runs until ``min_seconds`` are timed.
-
-    Also returns the last run's return value.  Scenarios may return a dict
-    of extra result keys (percentiles, throughput) that gets merged into
-    their ``BENCH_core.json`` entry.
+    Scenarios may return a dict of extra result keys (percentiles,
+    throughput) that gets merged into their ``BENCH_core.json`` entry.
     """
     from repro.engine.compilation import reset_default_engine
 
@@ -628,7 +618,7 @@ def _time_rounds(
     if not fresh_engine:
         reset_default_engine()
         last = run()  # warm-up: populate the engine caches
-    while len(times) < rounds or sum(times) < min_seconds:
+    for _ in range(rounds):
         if fresh_engine:
             reset_default_engine()
         start = time.perf_counter()
@@ -641,12 +631,12 @@ def run_benchmarks(smoke: bool, rounds: int) -> dict:
     results = {}
     for name, (run, sizes) in _scenarios(smoke):
         cold, _ = _time_rounds(run, max(1, rounds // 3), fresh_engine=True)
-        warm, extra = _time_rounds(run, rounds, fresh_engine=False, min_seconds=MIN_WARM_SECONDS)
+        warm, extra = _time_rounds(run, rounds, fresh_engine=False)
         results[name] = {
             "mean_ms": round(1000 * statistics.mean(warm), 4),
             "min_ms": round(1000 * min(warm), 4),
             "cold_mean_ms": round(1000 * statistics.mean(cold), 4),
-            "rounds": len(warm),
+            "rounds": rounds,
             "sizes": sizes,
         }
         if isinstance(extra, dict):

@@ -347,9 +347,9 @@ class CompiledSchema:
         try:
             mask = self._element_mask(root)
         except RecursionError:
-            from repro.streaming.machine import streaming_validator_for
+            from repro.streaming.machine import fold_element
 
-            return streaming_validator_for(self, self.engine).validate_element(root)
+            return fold_element(self, root)
         return bool(mask & self._finals_mask)
 
 

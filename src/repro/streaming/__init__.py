@@ -9,8 +9,9 @@ runs.  This package is the execution mode that never does:
   document and feeds it XML *bytes* -- chunk by chunk, no contiguous
   buffer required -- one bounded slice at a time.  After each slice it
   folds every element the slice completed into its parent's label state
-  (the states the batch folds step too) and deletes it, so it holds the
-  open root-to-leaf path plus one slice's elements.  It produces exactly
+  (the states the batch folds step too) and deletes it, and drops the
+  slice's text, so it holds the open root-to-leaf path plus one slice's
+  elements.  It produces exactly
   the verdict :class:`~repro.engine.batch.BatchValidator` would, for
   DTDs, SDTDs and EDTDs alike, classifies malformed input exactly like
   :func:`~repro.trees.xml_io.tree_from_xml`, and rejects early once no

@@ -14,11 +14,12 @@ reports no end tags, but an element with a later sibling is complete.
 So after each slice the run walks the open path -- the last child at
 each level -- folds every complete element into its parent's label state
 (the fold the bytes entry takes over whole payloads: one dict probe per
-child once the schema's tables are warm) and deletes it.  Between slices
-the run holds one element and one label state per level of the open
-path: O(depth).  :meth:`StreamingRun.finish` folds the open path
-bottom-up.  The fold recurses; a subtree too deep for the recursion limit
-is redone by an iterative walk, which also finds the exact event at
+child once the schema's tables are warm) and deletes it.  No fold reads
+character data, so the run then drops the text the builder collected.
+Between slices the run holds one element and one label state per level
+of the open path: O(depth).  :meth:`StreamingRun.finish` folds the open
+path bottom-up.  The fold recurses; a subtree too deep for the recursion
+limit is redone by an iterative walk, which also finds the exact event at
 which an invalid document dies.
 
 Verdicts are **identical** to :meth:`BatchValidator.validate` for every
@@ -32,9 +33,10 @@ survived), every rule of an element's label dies, or an element's label
 has no rule at all, no state assignment can exist for any completion of
 the document, so the run dies (``rejected_at`` records the event index).
 It notices at the first prune after the offending element is known to
-be complete, or at :meth:`~StreamingRun.finish`.  A dead run keeps parsing and only
-counts the rest, so a document that is both invalid and malformed is
-still classified as malformed, matching the parse-first tree path.
+be complete, or at :meth:`~StreamingRun.finish`.  A dead run keeps
+parsing and only counts the rest, so a document that is both invalid and
+malformed is still classified as malformed, matching the parse-first tree
+path.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ from repro.engine.batch import CompiledSchema
 from repro.errors import InvalidXMLError
 from repro.streaming.events import iter_chunks
 
-__all__ = ["StreamingRun", "StreamingValidator", "streaming_validator_for"]
+__all__ = ["StreamingRun", "StreamingValidator", "fold_element", "streaming_validator_for"]
 
 #: Most input (bytes, or characters of a ``str`` chunk) the C parser
-#: reads between two prunes.  The elements of one slice are what a run
-#: holds beyond its open path, about 100 bytes per element.
+#: reads between two prunes.  The elements and text of one slice are what
+#: a run holds beyond its open path, about 100 bytes per element.
 SLICE = 1 << 12
 
 
@@ -72,6 +74,17 @@ def streaming_validator_for(schema, engine=None) -> "StreamingValidator":
     return engine.memo_identity(
         STREAMING_MACHINE_KIND, schema, lambda: StreamingValidator(schema, engine)
     )
+
+
+def fold_element(compiled: CompiledSchema, root: ET.Element) -> bool:
+    """Membership of a document the C parser already parsed, at any depth.
+
+    The stream run's iterative fold, for documents too deep for the
+    recursive :meth:`CompiledSchema.accepts_element`.  ``root`` is only read.
+    """
+    wrapper = ET.Element("")
+    wrapper.append(root)
+    return _PathFold(compiled, wrapper)._settle()
 
 
 class StreamingValidator:
@@ -120,30 +133,130 @@ class StreamingValidator:
         """Validate one whole payload (sliced into bounded chunks internally)."""
         return self.validate_chunks(iter_chunks(payload, chunk_bytes))
 
-    def validate_element(self, root: ET.Element) -> bool:
-        """Membership of a document the C parser already parsed, at any depth.
 
-        The run's iterative fold, for documents too deep for the recursive
-        :meth:`CompiledSchema.accepts_element`.  ``root`` is only read.
+class _PathFold:
+    """Label states along the open path of a C-built element tree.
+
+    ``wrapper`` is the parent of the document's root, whether the root is
+    already parsed or a parser builds it later.  The walk (:meth:`_walk`)
+    folds the complete elements below the path into their parents'
+    states and deletes them; :meth:`_settle` folds a complete document.
+    """
+
+    __slots__ = (
+        "_initial",
+        "_step",
+        "_finals_mask",
+        "_path",
+        "_states",
+        "_opens",
+        "_max_depth",
+        "_rejected_at",
+        "_root_mask",
+    )
+
+    def __init__(self, compiled: CompiledSchema, wrapper: ET.Element) -> None:
+        self._initial = compiled._initial
+        self._step = compiled._step
+        self._finals_mask = compiled._finals_mask
+        #: The open path: the wrapper, then the last child at each level,
+        #: so ``_path[depth]`` sits at ``depth``.  A path element keeps
+        #: only its last child: the others are complete, folded and deleted.
+        self._path: list = [wrapper]
+        #: Per path element, its label state after the children folded so
+        #: far (``None`` for the wrapper, and all ``None`` once dead).
+        self._states: list = [None]
+        #: Element starts seen.  An element leaves the open path once it is
+        #: known to be complete, so the events so far are ``2 * opens`` less
+        #: the elements on the path.
+        self._opens = 0
+        self._max_depth = 0
+        self._rejected_at: Optional[int] = None
+        self._root_mask: Optional[int] = None
+
+    def _settle(self) -> bool:
+        """Fold the open path of a complete document; its verdict."""
+        self._walk(-1)
+        del self._path[0][:]
+        if self._rejected_at is not None:
+            return False
+        return bool(self._root_mask & self._finals_mask)
+
+    def _walk(self, level: int) -> None:
+        """Fold and delete the complete elements, counting every event.
+
+        An iterative depth-first walk resumed from the open path.  Path
+        elements deeper than ``level`` are complete (all of them for
+        ``level`` -1, the whole document), and so is every element with a
+        later sibling.  It dies at the exact event, then only counts.
         """
-        run = StreamingRun(self)
-        run._parser = None
-        run._path[0].append(root)
-        return run._settle()
+        path, initial, step = self._path, self._initial, self._step
+        alive = self._rejected_at is None
+        opens, max_depth = self._opens, self._max_depth
+        events = 2 * opens - len(path) + 1
+        # One frame per open element: [element, state, next child, complete].
+        stack = [
+            [element, state, 1, depth > level]
+            for depth, (element, state) in enumerate(zip(path, self._states))
+        ]
+        stack[-1][2] = 0
+        while True:
+            frame = stack[-1]
+            element, state, index, complete = frame
+            if index < len(element):
+                frame[2] = index + 1
+                child = element[index]
+                opens += 1
+                events += 1
+                if len(stack) > max_depth:
+                    max_depth = len(stack)
+                child_state = initial.get(child.tag) if alive else None
+                if alive and child_state is None:
+                    alive = False
+                    self._rejected_at = events
+                stack.append([child, child_state, 0, complete or index + 1 < len(element)])
+                continue
+            if not complete or len(stack) == 1:
+                break
+            stack.pop()
+            events += 1
+            if not alive:
+                continue
+            # The closed element's mask is the symbol its parent reads
+            # next; a zero mask steps to the dead state.
+            mask = state.close
+            parent = stack[-1]
+            if len(stack) > 1:
+                following = parent[1].next.get(mask)
+                if following is None:
+                    following = step(parent[1], mask)
+                if following:
+                    parent[1] = following
+                    continue
+            elif mask:
+                self._root_mask = mask
+                continue
+            alive = False
+            self._rejected_at = events
+        self._opens, self._max_depth = opens, max_depth
+        self._path = [frame[0] for frame in stack]
+        self._states = [frame[1] if alive else None for frame in stack]
+        for element in self._path[max(level, 0) : -1]:
+            del element[:-1]
 
 
 class _Rejected(Exception):
     """The fast fold stepped into a dead state."""
 
 
-class StreamingRun:
+class StreamingRun(_PathFold):
     """Validating one document: a C-built element tree, folded and pruned.
 
     :meth:`feed` parses each chunk, at most :data:`SLICE` of it at a time,
     and after each slice folds and deletes the elements the slice showed
-    complete (a run deeper than ``SLICE / 8`` levels does so only every 8
-    bytes per level); :meth:`finish` ends the input and returns the
-    verdict.  Malformed or truncated input raises
+    complete and drops all text (a run deeper than ``SLICE / 8`` levels
+    does so only every 8 bytes per level); :meth:`finish` ends the input
+    and returns the verdict.  Malformed or truncated input raises
     :class:`~repro.errors.InvalidXMLError`.  One run parses one document.
 
     The builder reports no end tags, so the run learns that an element
@@ -153,45 +266,16 @@ class StreamingRun:
     :meth:`finish` is exact.
     """
 
-    __slots__ = (
-        "_initial",
-        "_step",
-        "_finals_mask",
-        "_parser",
-        "_path",
-        "_states",
-        "_opens",
-        "_unpruned",
-        "_max_depth",
-        "_rejected_at",
-        "_root_mask",
-    )
+    __slots__ = ("_builder", "_parser", "_unpruned")
 
     def __init__(self, machine: StreamingValidator) -> None:
-        compiled = machine.compiled
-        self._initial = compiled._initial
-        self._step = compiled._step
-        self._finals_mask = compiled._finals_mask
-        builder = ET.TreeBuilder()
+        self._builder = builder = ET.TreeBuilder()
         self._parser = ET.XMLParser(target=builder)
-        #: The open path.  First a wrapper element, opened on the builder
-        #: before any input so that the document's root becomes its child;
-        #: then the last child at each level, so ``_path[depth]`` sits at
-        #: ``depth``.  A path element keeps only its last child: the others
-        #: are complete, folded and deleted.
-        self._path: list = [builder.start("", {})]
-        #: Per path element, its label state after the children folded so
-        #: far (``None`` for the wrapper, and all ``None`` once dead).
-        self._states: list = [None]
-        #: Element starts seen.  An element leaves the open path once it is
-        #: known to be complete, so the events so far are ``2 * opens`` less
-        #: the elements on the path.
-        self._opens = 0
+        # A wrapper element, opened on the builder before any input, so
+        # that the document's root becomes its child.
+        super().__init__(machine.compiled, builder.start("", {}))
         #: Input parsed since the last prune.
         self._unpruned = 0
-        self._max_depth = 0
-        self._rejected_at: Optional[int] = None
-        self._root_mask: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -279,14 +363,13 @@ class StreamingRun:
         if self._unpruned + SLICE >= 8 * len(self._path):
             self._unpruned = 0
             self._prune()
-
-    def _settle(self) -> bool:
-        """Fold the open path of a complete document; its verdict."""
-        self._walk(-1)
-        del self._path[0][:]
-        if self._rejected_at is not None:
-            return False
-        return bool(self._root_mask & self._finals_mask)
+            # No fold reads character data, yet the builder keeps a text
+            # run whole until the next tag.  Its comment() hands the run
+            # to the element it belongs to, which is on the open path, and
+            # the path lets go of all text.
+            self._builder.comment(None)
+            for element in self._path:
+                element.text = element.tail = None
 
     # ------------------------------------------------------------------ #
     # the fold
@@ -384,67 +467,3 @@ class StreamingRun:
                 raise _Rejected
             state = following
         return state
-
-    def _walk(self, level: int) -> None:
-        """:meth:`_prune`'s exact path: iterative, counting every event.
-
-        A depth-first walk resumed from the open path.  Path elements
-        deeper than ``level`` are complete (all of them for ``level`` -1,
-        the whole document), and so is every element with a later
-        sibling.  It dies at the exact event, then only counts; a dead
-        run prunes with it, and so does a slice the fast fold could not
-        finish.
-        """
-        path, initial, step = self._path, self._initial, self._step
-        alive = self._rejected_at is None
-        opens, max_depth = self._opens, self._max_depth
-        events = 2 * opens - len(path) + 1
-        # One frame per open element: [element, state, next child, complete].
-        stack = [
-            [element, state, 1, depth > level]
-            for depth, (element, state) in enumerate(zip(path, self._states))
-        ]
-        stack[-1][2] = 0
-        while True:
-            frame = stack[-1]
-            element, state, index, complete = frame
-            if index < len(element):
-                frame[2] = index + 1
-                child = element[index]
-                opens += 1
-                events += 1
-                if len(stack) > max_depth:
-                    max_depth = len(stack)
-                child_state = initial.get(child.tag) if alive else None
-                if alive and child_state is None:
-                    alive = False
-                    self._rejected_at = events
-                stack.append([child, child_state, 0, complete or index + 1 < len(element)])
-                continue
-            if not complete or len(stack) == 1:
-                break
-            stack.pop()
-            events += 1
-            if not alive:
-                continue
-            # The closed element's mask is the symbol its parent reads
-            # next; a zero mask steps to the dead state.
-            mask = state.close
-            parent = stack[-1]
-            if len(stack) > 1:
-                following = parent[1].next.get(mask)
-                if following is None:
-                    following = step(parent[1], mask)
-                if following:
-                    parent[1] = following
-                    continue
-            elif mask:
-                self._root_mask = mask
-                continue
-            alive = False
-            self._rejected_at = events
-        self._opens, self._max_depth = opens, max_depth
-        self._path = [frame[0] for frame in stack]
-        self._states = [frame[1] if alive else None for frame in stack]
-        for element in self._path[max(level, 0) : -1]:
-            del element[:-1]

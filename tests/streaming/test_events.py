@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -123,3 +124,23 @@ class TestMemoryDiscipline:
         run.feed(b"<a/></r>")
         assert run.finish() is True
         assert run.events == 10004
+
+    def test_character_data_is_not_retained(self):
+        """A text run of any length costs a few chunks at most, as no fold reads it."""
+        machine = StreamingValidator(dtd("r", {"r": "a*"}))
+        piece = b"x" * 65536
+        tracemalloc.start()
+        try:
+            run = machine.run()
+            run.feed(b"<r>")
+            for _ in range(64):  # 4 MiB of text before the first child
+                run.feed(piece)
+            run.feed(b"<a/><![CDATA[")
+            for _ in range(16):  # a CDATA section in the tail of <a/>
+                run.feed(piece)
+            run.feed(b"]]></r>")
+            assert run.finish() is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(piece), f"a stream run kept {peak} bytes for its text"
