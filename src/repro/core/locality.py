@@ -135,7 +135,8 @@ def is_perfect(design: TopDownDesign, typing: TreeTyping) -> bool:
 
     Uses Theorem 2.1 (a perfect typing is the unique maximal local typing):
     the typing is perfect iff a perfect typing exists for the design and the
-    given typing is component-wise equivalent to it.
+    given typing is component-wise equivalent to it.  A typing equivalent to
+    a local one is local, so no tree-language comparison is needed.
     """
     from repro.core.existence import find_perfect_typing
 
@@ -144,4 +145,4 @@ def is_perfect(design: TopDownDesign, typing: TreeTyping) -> bool:
         return False
     if set(typing.types) != set(reference.types):
         return False
-    return typing.equivalent_to(reference) and is_local(design, typing)
+    return typing.equivalent_to(reference)

@@ -22,9 +22,12 @@ close mask (the states assignable if the element ended here) and a dict
 of memoized successors keyed by child mask.  After warm-up a child costs
 one dict probe, whichever driver steps the states: the Tree fold
 (:meth:`CompiledSchema.accepts`), the element fold over the C parser's
-output (:meth:`CompiledSchema.accepts_element`), or the incremental
+output (:meth:`CompiledSchema.accepts_element`), the incremental
 element fold of :class:`~repro.streaming.machine.StreamingRun`, which
-folds and prunes the C parser's output slice by slice.
+folds and prunes the C parser's output slice by slice, or the
+tree-language search of :mod:`repro.trees.automata` (emptiness,
+inclusion, equivalence) and the EDTD normalisation built on it, which
+step every label's states on the masks of all reachable children.
 
 :class:`BatchValidator` is the user-facing wrapper: it validates one
 document, a batch of documents in a single pass, or produces a
@@ -313,10 +316,14 @@ class CompiledSchema:
                 self.engine.stats.record_eviction("batch-validate")
         return mask
 
+    def states_of(self, mask: int) -> frozenset:
+        """The states whose bits ``mask`` sets."""
+        order = self._state_order
+        return frozenset(order[index] for index in iter_bits(mask))
+
     def possible_states(self, tree: Tree) -> frozenset:
         """The states assignable to the root of ``tree``, memoized per document."""
-        order = self._state_order
-        return frozenset(order[index] for index in iter_bits(self._memoized_mask(tree)))
+        return self.states_of(self._memoized_mask(tree))
 
     def accepts(self, tree: Tree) -> bool:
         return bool(self._memoized_mask(tree) & self._finals_mask)

@@ -8,7 +8,9 @@ The engine memoizes, behind a single LRU cache keyed by content fingerprints:
 * pairwise inclusion / equivalence of string languages, including the
   shortest counter-examples (``equiv[R]``, Definition 1);
 * pairwise inclusion / equivalence of *tree* languages through the joint
-  reachable-subset construction (``equiv[S]`` across schema languages).
+  reachable-subset construction (``equiv[S]`` across schema languages),
+  which steps the label states of :class:`~repro.engine.batch.CompiledSchema`
+  compiled on this engine.
 
 Equal fingerprints mean structurally identical automata, so the engine also
 answers equivalence queries on fingerprint equality alone without exploring

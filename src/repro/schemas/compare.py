@@ -11,7 +11,10 @@ trees are memoized by the tree-automaton fingerprint, so repeating a
 comparison -- the typical shape of the ``cons[S]`` benchmarks, the maximal-
 typing deduplication and the typing-order checks -- skips the exponential
 joint reachable-subset construction entirely.  The uncached procedures stay
-available in :mod:`repro.trees.automata`.
+available in :mod:`repro.trees.automata`; on a miss they compile each
+automaton on the same engine and step its label states, so an analysis's
+``engine_stats`` also count their ``compact-horizontal`` and ``label-dfa``
+work.
 """
 
 from __future__ import annotations

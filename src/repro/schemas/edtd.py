@@ -25,7 +25,7 @@ from repro.errors import SchemaError
 from repro.automata import operations as ops
 from repro.automata.nfa import NFA
 from repro.schemas.content_model import ContentModel, Formalism, LanguageLike, content_model
-from repro.trees.automata import UnrankedTreeAutomaton, joint_reachable_profiles
+from repro.trees.automata import UnrankedTreeAutomaton, deterministic_state_assignments
 from repro.trees.document import Tree
 
 
@@ -298,16 +298,13 @@ def is_normalized(edtd: EDTD) -> bool:
     Decided with a single reachable-subset construction: two specialisations
     of the same element name overlap iff some tree can be assigned both.
     """
-    uta = edtd.to_uta()
-    profiles = joint_reachable_profiles([uta])
-    for (states,) in profiles:
-        by_element: dict[str, int] = {}
-        for name in states:
-            element = edtd.mu[name]
-            by_element[element] = by_element.get(element, 0) + 1
-            if by_element[element] > 1:
-                return False
-    return True
+    return _disjoint(deterministic_state_assignments(edtd.to_uta()))
+
+
+def _disjoint(subsets: Iterable[frozenset[str]]) -> bool:
+    # A node labelled ``a`` is only assigned specialisations of ``a``, so a
+    # subset of two or more names is an overlap.
+    return all(len(subset) == 1 for subset in subsets)
 
 
 def normalize(edtd: EDTD, max_subsets: int = 4096) -> NormalizedEDTD:
@@ -319,92 +316,67 @@ def normalize(edtd: EDTD, max_subsets: int = 4096) -> NormalizedEDTD:
     stay readable.
     """
     reduced = edtd if edtd.is_reduced() else edtd.reduced()
-    if is_normalized(reduced):
-        return NormalizedEDTD.from_disjoint_edtd(reduced)
-
     uta = reduced.to_uta()
-    profiles = joint_reachable_profiles([uta])
-    subsets = sorted({states for (states,) in profiles if states}, key=sorted)
+    subsets = sorted(deterministic_state_assignments(uta), key=sorted)
+    if _disjoint(subsets):
+        return NormalizedEDTD.from_disjoint_edtd(reduced)
     if len(subsets) > max_subsets:
         raise MemoryError("EDTD normalisation exceeded the subset budget")
 
-    def element_of_subset(subset: frozenset[str]) -> str:
-        elements = {reduced.mu[name] for name in subset}
-        if len(elements) != 1:
-            raise SchemaError("internal error: mixed-element subset during normalisation")
-        return next(iter(elements))
-
+    element_of: dict[str, str] = {}
     names: dict[frozenset[str], str] = {}
     counters: dict[str, int] = {}
     for subset in subsets:
-        element = element_of_subset(subset)
+        element = reduced.mu[min(subset)]
         counters[element] = counters.get(element, 0) + 1
         names[subset] = f"{element}#{counters[element]}"
-
-    element_of = {names[subset]: element_of_subset(subset) for subset in subsets}
-    subset_of = {names[subset]: subset for subset in subsets}
-    content: dict[str, NFA] = {}
-    for subset in subsets:
-        element = element_of_subset(subset)
-        content[names[subset]] = _normalized_content(reduced, element, subset, subsets, names)
+        element_of[names[subset]] = element
+    content = _normalized_contents(uta, names, element_of)
     roots = {names[subset] for subset in subsets if reduced.start in subset}
-    return NormalizedEDTD(element_of, content, roots, subset_of)
+    return NormalizedEDTD(element_of, content, roots, {name: subset for subset, name in names.items()})
 
 
-def _normalized_content(
-    edtd: EDTD,
-    element: str,
-    target: frozenset[str],
-    subsets: list[frozenset[str]],
-    names: Mapping[frozenset[str], str],
-) -> NFA:
-    """Horizontal DFA (as an NFA) of the normalised name ``(element, target)``.
+def _normalized_contents(
+    uta: UnrankedTreeAutomaton, names: Mapping[frozenset[str], str], element_of: Mapping[str, str]
+) -> dict[str, NFA]:
+    """Horizontal DFA (as an NFA) of every normalised name ``(element, target)``.
 
     It reads strings of normalised names ``N1 ... Nk`` and accepts exactly
     those for which the set of original specialisations of ``element``
-    compatible with the children is ``target``.
+    compatible with the children is ``target``.  The DFA is ``element``'s
+    label states in the :class:`~repro.engine.batch.CompiledSchema` of
+    ``uta``, stepped on the names' subset masks and explored once per
+    element; its finals for ``target`` are the states whose close mask is
+    ``target``'s.
     """
-    original_names = sorted(edtd.specializations(element))
-    horizontals = {
-        name: edtd.content(name).nfa.remove_epsilon().with_alphabet(edtd.specialized_names)
-        for name in original_names
-    }
+    from repro.engine.batch import CompiledSchema
 
-    def initial_state() -> tuple:
-        return tuple(
-            frozenset(horizontals[name].epsilon_closure({horizontals[name].initial}))
-            for name in original_names
-        )
-
-    def advance(state: tuple, child_subset: frozenset[str]) -> tuple:
-        new_components = []
-        for index, name in enumerate(original_names):
-            nfa = horizontals[name]
-            moved: set = set()
-            for symbol in child_subset:
-                moved |= nfa.step(state[index], symbol)
-            new_components.append(frozenset(moved))
-        return tuple(new_components)
-
-    def assigned(state: tuple) -> frozenset[str]:
-        result = set()
-        for index, name in enumerate(original_names):
-            if state[index] & horizontals[name].finals:
-                result.add(name)
-        return frozenset(result)
-
-    start = initial_state()
-    dfa_states = {start}
-    transitions: dict[object, dict[str, set]] = {}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for child_subset in subsets:
-            nxt = advance(current, child_subset)
-            transitions.setdefault(current, {}).setdefault(names[child_subset], set()).add(nxt)
-            if nxt not in dfa_states:
-                dfa_states.add(nxt)
-                queue.append(nxt)
-    finals = {state for state in dfa_states if assigned(state) == target}
-    alphabet = set(names.values())
-    return NFA(dfa_states, alphabet, transitions, start, finals).relabel(f"{names[target]}_h").trim()
+    compiled = CompiledSchema(uta)
+    bit = {state: 1 << index for index, state in enumerate(compiled._state_order)}
+    masks = {subset: sum(bit[name] for name in subset) for subset in names}
+    targets: dict[str, list[frozenset[str]]] = {}
+    for subset, name in names.items():
+        targets.setdefault(element_of[name], []).append(subset)
+    content: dict[str, NFA] = {}
+    for element, subsets in targets.items():
+        start = compiled._initial[element]
+        states = {start.currents: start}
+        transitions: dict[tuple, dict[str, set]] = {}
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            row = transitions[state.currents] = {}
+            for subset, mask in masks.items():
+                following = state.next.get(mask)
+                if following is None:
+                    following = compiled._step(state, mask)
+                if following:
+                    row[names[subset]] = {following.currents}
+                    if following.currents not in states:
+                        states[following.currents] = following
+                        queue.append(following)
+        for target in subsets:
+            finals = {key for key, state in states.items() if state.close == masks[target]}
+            dfa = NFA(states, names.values(), transitions, start.currents, finals)
+            content[names[target]] = dfa.relabel(f"{names[target]}_h").trim()
+    return content

@@ -11,7 +11,8 @@ trees with labels over an alphabet of element names.  The package provides
 * :mod:`repro.trees.xml_io` -- conversion to and from actual XML text,
 * :mod:`repro.trees.automata` -- nondeterministic and bottom-up deterministic
   unranked tree automata (nUTA / dUTA) with membership, emptiness, inclusion
-  and equivalence decided by joint reachable-subset construction.
+  and equivalence decided by joint reachable-subset construction over the
+  validators' label states.
 """
 
 from repro.trees.document import Tree

@@ -15,14 +15,16 @@ tree the set of states assignable to it, and the construction enumerates all
 jointly reachable tuples of such sets for several automata at once, together
 with witness trees.  This is the determinisation of [15] (TATA) specialised
 to what the library needs, and it also powers the EDTD normalisation of
-Section 4.3.
+Section 4.3.  It steps the same lazily determinized label states as the
+validators (:class:`~repro.engine.batch.CompiledSchema`); only membership
+(:meth:`UnrankedTreeAutomaton.possible_states`) simulates the horizontal
+NFAs over sets of states, as the independent reference semantics.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.automata.nfa import NFA
@@ -126,75 +128,6 @@ class UnrankedTreeAutomaton:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ProfileWitness:
-    """A jointly reachable profile together with a tree that realises it."""
-
-    profile: Profile
-    witness: Tree
-
-
-def _initial_components(
-    automata: Sequence[UnrankedTreeAutomaton], label: Label
-) -> tuple[tuple[frozenset, ...], ...]:
-    """Initial horizontal simulation state, per automaton and per state."""
-    components = []
-    for automaton in automata:
-        per_state = []
-        for state in sorted(automaton.states):
-            nfa = automaton.horizontal.get((state, label))
-            if nfa is None:
-                per_state.append(frozenset())
-            else:
-                per_state.append(nfa.epsilon_closure({nfa.initial}))
-        components.append(tuple(per_state))
-    return tuple(components)
-
-
-def _advance_components(
-    automata: Sequence[UnrankedTreeAutomaton],
-    label: Label,
-    components: tuple[tuple[frozenset, ...], ...],
-    profile: Profile,
-) -> tuple[tuple[frozenset, ...], ...]:
-    """Advance every horizontal simulation by one child whose profile is given."""
-    new_components = []
-    for automaton_index, automaton in enumerate(automata):
-        per_state = []
-        child_states = profile[automaton_index]
-        for state_index, state in enumerate(sorted(automaton.states)):
-            nfa = automaton.horizontal.get((state, label))
-            current = components[automaton_index][state_index]
-            if nfa is None or not current:
-                per_state.append(frozenset())
-                continue
-            moved: set = set()
-            for symbol in child_states:
-                moved |= nfa.step(current, symbol)
-            per_state.append(frozenset(moved))
-        new_components.append(tuple(per_state))
-    return tuple(new_components)
-
-
-def _profile_of_components(
-    automata: Sequence[UnrankedTreeAutomaton],
-    label: Label,
-    components: tuple[tuple[frozenset, ...], ...],
-) -> Profile:
-    """The profile produced by a node with the given final horizontal components."""
-    profile = []
-    for automaton_index, automaton in enumerate(automata):
-        assignable = set()
-        for state_index, state in enumerate(sorted(automaton.states)):
-            nfa = automaton.horizontal.get((state, label))
-            if nfa is None:
-                continue
-            if components[automaton_index][state_index] & nfa.finals:
-                assignable.add(state)
-        profile.append(frozenset(assignable))
-    return tuple(profile)
-
-
 def joint_reachable_profiles(
     automata: Sequence[UnrankedTreeAutomaton],
     max_profiles: int = 200_000,
@@ -206,16 +139,24 @@ def joint_reachable_profiles(
     that, for every ``i``, ``S_i`` is exactly the set of states automaton
     ``i`` can assign to ``t``.  The witness tree realises the profile.
 
+    Each automaton is stepped as the label states of its
+    :class:`~repro.engine.batch.CompiledSchema`, compiled on the default
+    engine: a node is one label state per automaton, its profile is their
+    close masks, and a child steps every state on the child's mask.
+
     ``max_profiles`` bounds the construction (it is exponential in the worst
     case, which is exactly the EXPTIME lower bound of Theorem 4.7).
     """
-    labels = sorted(set().union(*[automaton.alphabet for automaton in automata])) if automata else []
-    known: dict[Profile, Tree] = {}
+    from repro.engine.batch import CompiledSchema
+
+    compiled = [CompiledSchema(automaton) for automaton in automata]
+    labels = sorted(set().union(*[automaton.alphabet for automaton in automata]))
+    known: dict[tuple[int, ...], Tree] = {}
     changed = True
     while changed:
         changed = False
         for label in labels:
-            for profile, witness in _explore_label(automata, label, known).items():
+            for profile, witness in _explore_label(compiled, label, list(known.items())).items():
                 if profile not in known:
                     known[profile] = witness
                     changed = True
@@ -223,42 +164,46 @@ def joint_reachable_profiles(
                         raise MemoryError(
                             "joint reachable-subset construction exceeded its profile budget"
                         )
-    return known
+    return {
+        tuple(each.states_of(mask) for each, mask in zip(compiled, profile)): witness
+        for profile, witness in known.items()
+    }
 
 
-def _explore_label(
-    automata: Sequence[UnrankedTreeAutomaton],
-    label: Label,
-    known: dict[Profile, Tree],
-) -> dict[Profile, Tree]:
-    """Profiles producible by a node labelled ``label`` whose children realise known profiles."""
-    start = _initial_components(automata, label)
-    # Each queue entry carries the horizontal components and the child forest
-    # (as a tuple of witness trees) used to reach them.
+def _explore_label(compiled: Sequence, label: Label, known_items: list) -> dict:
+    """Profiles (as close masks) of a ``label`` node whose children realise known profiles.
+
+    A breadth-first search over tuples of label states, one per automaton;
+    ``None`` stands for an automaton with no rule at ``label`` and ``0`` for
+    a dead one.  The seen-set is keyed by the states' ``currents``, so a
+    table drop at ``CompiledSchema.state_capacity`` only costs recomputation.
+    """
+    start = tuple(each._initial.get(label) for each in compiled)
+    # Each queue entry carries the label states and the child forest (as a
+    # tuple of witness trees) used to reach them.
     queue: deque[tuple[tuple, tuple[Tree, ...]]] = deque([(start, ())])
-    seen = {start}
-    results: dict[Profile, Tree] = {}
-    known_items = list(known.items())
+    seen = {tuple(state.currents if state else None for state in start)}
+    results: dict[tuple[int, ...], Tree] = {}
     while queue:
-        components, forest = queue.popleft()
-        profile = _profile_of_components(automata, label, components)
-        if profile not in results and any(profile):
-            results[profile] = Tree(label, forest)
-        elif profile not in results:
+        states, forest = queue.popleft()
+        profile = tuple(state.close if state else 0 for state in states)
+        if profile not in results:
             # Even an all-empty profile is informative for inclusion checks
-            # (it witnesses a tree that none of the automata can process),
-            # but it never needs more than one representative.
+            # (it witnesses a tree that none of the automata can process).
             results[profile] = Tree(label, forest)
         for child_profile, child_witness in known_items:
-            new_components = _advance_components(automata, label, components, child_profile)
-            if new_components in seen:
-                continue
-            if all(not per_state for per_automaton in new_components for per_state in per_automaton):
-                # Every horizontal simulation is dead; no need to explore further.
-                seen.add(new_components)
-                continue
-            seen.add(new_components)
-            queue.append((new_components, forest + (child_witness,)))
+            following = []
+            for each, state, mask in zip(compiled, states, child_profile):
+                if state:
+                    successor = state.next.get(mask)
+                    state = each._step(state, mask) if successor is None else successor
+                following.append(state)
+            if not any(following):
+                continue  # every horizontal run is dead
+            key = tuple(state.currents if state else None for state in following)
+            if key not in seen:
+                seen.add(key)
+                queue.append((tuple(following), forest + (child_witness,)))
     return results
 
 
@@ -291,13 +236,7 @@ def tree_language_includes(big: UnrankedTreeAutomaton, small: UnrankedTreeAutoma
 
 def tree_language_equivalent(left: UnrankedTreeAutomaton, right: UnrankedTreeAutomaton) -> bool:
     """Decide ``[left] = [right]`` (``equiv`` for regular tree languages)."""
-    profiles = joint_reachable_profiles([left, right])
-    for left_states, right_states in profiles:
-        left_accepts = bool(left_states & left.finals)
-        right_accepts = bool(right_states & right.finals)
-        if left_accepts != right_accepts:
-            return False
-    return True
+    return tree_language_equivalence_counterexample(left, right) is None
 
 
 def tree_language_equivalence_counterexample(

@@ -22,7 +22,7 @@ from repro.automata.nfa import NFA
 from repro.automata.regex import Concat, Epsilon, Opt, Regex, Star, Sym, Union
 from repro.core.consistency import build_combined_type
 from repro.core.kernel import KernelTree
-from repro.core.locality import is_local, is_maximal_local
+from repro.core.locality import is_local, is_maximal_local, is_perfect
 from repro.core.perfect import PerfectAutomaton, word_find_perfect_typing, word_is_perfect
 from repro.core.typing import TreeTyping
 from repro.core.words import KernelString, word_is_sound
@@ -148,6 +148,7 @@ class TestTreeLevelInvariants:
             return
         assert is_local(design, perfect)
         assert is_maximal_local(design, perfect)
+        assert is_perfect(design, perfect)
         others = find_maximal_local_typings(design, limit=4)
         for other in others:
             assert other.equivalent_to(perfect)

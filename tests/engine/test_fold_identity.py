@@ -1,19 +1,23 @@
 """Fold identity: every driver of the label automata equals the schema's own membership.
 
 :class:`~repro.engine.batch.CompiledSchema` steps one set of lazily
-determinized label states from three drivers -- the Tree fold, the element
-fold of the bytes entry, and the incremental element fold of a stream run --
-and the runtime publishes through the last two.  The oracle is
+determinized label states from four drivers -- the Tree fold, the element
+fold of the bytes entry, the incremental element fold of a stream run, and
+the tree-language search of :mod:`repro.trees.automata` (emptiness,
+inclusion, equivalence and EDTD normalisation) -- and the runtime
+publishes through the second and third.  The oracle is
 ``schema.validate(tree_from_xml(payload))``: the schema's set-based
 membership (DTD content models, the SDTD witness, the EDTD's set-based
-tree automaton), which shares no code with ``CompiledSchema``.
+tree automaton), which shares no code with ``CompiledSchema``; the search
+is checked against ``UnrankedTreeAutomaton.possible_states``/``accepts``,
+the same set-based membership.
 
 The suite drives every path through seeded-random mutated documents of all
 three schema kinds, the malformed and truncated payload corpus, deep
 documents, adversarial chunk splits (the splitter of
 ``tests/streaming/test_fuzz_chunks.py``), random schemas and trees
-(hypothesis), and many threads sharing one schema whose tables are capped
-low enough to evict.  Each identity check runs twice: on the schema's
+(hypothesis), random schema pairs for the search, and many threads sharing
+one schema whose tables are capped low enough to evict.  Each identity check runs twice: on the schema's
 shared label tables, and with tables capped so low that nearly every step
 is computed afresh and evicts.  The run API is checked against an event-level
 oracle built on the same set-based semantics: the run must die at the
@@ -40,8 +44,16 @@ from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
 from repro.engine import BatchValidator, CompilationEngine, CompiledSchema
 from repro.engine.batch import LABEL_DFA_KIND
-from repro.errors import InvalidXMLError, NotSingleTypeError
+from repro.errors import InvalidXMLError, NotSingleTypeError, SchemaError
+from repro.schemas.edtd import EDTD, normalize
 from repro.streaming import StreamingValidator, iter_chunks
+from repro.trees.automata import (
+    joint_reachable_profiles,
+    tree_language_counterexample,
+    tree_language_equivalence_counterexample,
+    tree_language_equivalent,
+    tree_language_is_empty,
+)
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
 from repro.trees.xml_io import tree_from_xml, tree_to_xml
@@ -359,9 +371,9 @@ def _relabel(tree: Tree, mu: dict) -> Tree:
 
 
 @st.composite
-def schemas_and_trees(draw):
+def schemas_and_trees(draw, kinds=("DTD", "SDTD", "EDTD")):
     """A random DTD/SDTD/EDTD over ``regexes``, and trees to validate against it."""
-    kind = draw(st.sampled_from(("DTD", "SDTD", "EDTD")))
+    kind = draw(st.sampled_from(kinds))
     rules = {symbol: draw(properties.regexes) for symbol in properties.ALPHABET}
     start = draw(st.sampled_from(properties.ALPHABET))
     documents = draw(st.lists(trees, min_size=1, max_size=6))
@@ -435,6 +447,89 @@ class TestSchemasSharingOneEngine:
         for tree in candidates + documents:
             for schema, each in zip(schemas, compiled):
                 assert_all_drivers_agree(schema, tree, rng, each)
+
+
+# --------------------------------------------------------------------- #
+# the tree-language search
+# --------------------------------------------------------------------- #
+
+
+def _subtrees(tree: Tree):
+    yield tree
+    for child in tree.children:
+        yield from _subtrees(child)
+
+
+def _as_edtd(schema) -> EDTD:
+    """``schema`` as an EDTD: a DTD's rules under the identity ``mu``."""
+    if isinstance(schema, EDTD):
+        return schema
+    return EDTD(schema.start, {name: schema.content(name) for name in schema.alphabet})
+
+
+def assert_search_agrees(left, right, samples):
+    """The joint search over two tree automata against their set-based membership."""
+    profiles = joint_reachable_profiles([left, right])
+    for profile, witness in profiles.items():
+        assert (left.possible_states(witness), right.possible_states(witness)) == profile
+    for tree in samples:  # completeness: a tree some automaton can process
+        profile = (left.possible_states(tree), right.possible_states(tree))
+        assert profile in profiles or not any(profile)
+    left_only = tree_language_counterexample(left, right)
+    if left_only is None:
+        assert not any(left.accepts(tree) and not right.accepts(tree) for tree in samples)
+    else:
+        assert left.accepts(left_only) and not right.accepts(left_only)
+    separation = tree_language_equivalence_counterexample(left, right)
+    assert tree_language_equivalent(left, right) is (separation is None)
+    if separation is None:
+        assert all(left.accepts(tree) is right.accepts(tree) for tree in samples)
+    else:
+        side, witness = separation
+        claimed = (True, False) if side == "left-only" else (False, True)
+        assert (left.accepts(witness), right.accepts(witness)) == claimed
+
+
+@st.composite
+def schema_pairs(draw):
+    """Two random schemas over the same element names, and trees for both."""
+    schema, documents = draw(schemas_and_trees())
+    kinds = ("SDTD", "EDTD") if isinstance(schema, EDTD) else ("DTD",)
+    other, other_documents = draw(schemas_and_trees(kinds))
+    return schema, other, documents + other_documents
+
+
+class TestTreeLanguageSearch:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(schema_pairs())
+    @pytest.mark.parametrize("capacity", [None, 1], ids=["shared", "evicting"])
+    def test_search_verdicts_and_witnesses_match_the_set_semantics(self, capacity, case):
+        schema, other, samples = case
+        with pytest.MonkeyPatch.context() as patch:
+            if capacity is not None:
+                patch.setattr(CompiledSchema, "state_capacity", capacity)
+                patch.setattr(CompiledSchema, "transition_capacity", capacity)
+            uta = schema.to_uta()
+            assert_search_agrees(uta, other.to_uta(), samples)
+            assert_search_agrees(uta, uta, samples)
+            assert tree_language_equivalent(uta, uta)
+            if tree_language_is_empty(uta):
+                assert not any(uta.accepts(tree) for tree in samples)
+                with pytest.raises(SchemaError):
+                    normalize(_as_edtd(schema))
+                return
+            normalized = normalize(_as_edtd(schema)).to_uta()
+            assert_search_agrees(uta, normalized, samples)
+            assert tree_language_equivalent(uta, normalized)
+            witnesses = list(joint_reachable_profiles([normalized]).values())
+        for tree in samples + witnesses:
+            assert normalized.accepts(tree) is uta.accepts(tree)
+            # Lemma 4.10: no tree is assigned two specialisations.
+            assert all(len(normalized.possible_states(each)) <= 1 for each in _subtrees(tree))
 
 
 # --------------------------------------------------------------------- #
