@@ -39,6 +39,10 @@ from repro.trees.document import Tree
 #: Size of a control message (a call request or a boolean acknowledgement).
 CONTROL_MESSAGE_BYTES = 64
 
+#: What a local-validation report promises.  It assumes the propagated
+#: typing is local (Section 2.4); nothing checks that assumption yet.
+LOCAL_GUARANTEE = "sound & complete: local success is equivalent to global validity"
+
 #: How many of the most recent messages :attr:`Network.log` keeps.  A
 #: long-running server sends two per dirty publication forever; the
 #: totals live in the ledger, so older messages are dropped.
@@ -215,13 +219,14 @@ class DistributedDocument:
             guarantee="exact (the materialised document was checked against the global type)",
         )
 
-    def validate_locally(self, typing: Optional[TreeTyping] = None, typing_is_local: bool = True) -> ValidationReport:
+    def validate_locally(self, typing: Optional[TreeTyping] = None) -> ValidationReport:
         """Each peer validates its own document against its local type.
 
         ``typing`` may be passed to (re-)propagate local types first.  The
-        guarantee depends on the typing: a *sound* typing makes local success
-        imply global validity; a *local* typing additionally rules no valid
-        configuration out (Section 2.4).
+        report's guarantee assumes the typing is *local*: then local success
+        is equivalent to global validity.  A typing that is only *sound*
+        makes local success imply global validity, but a ``False`` is not
+        conclusive (Section 2.4).
         """
         before_messages, before_bytes = self.network.snapshot()
         if typing is not None:
@@ -232,17 +237,12 @@ class DistributedDocument:
             ok = peer.validate_locally()
             self.network.send_control(peer.name, self.coordinator.name, "validate-result", str(ok))
             valid = valid and ok
-        guarantee = (
-            "sound & complete: local success is equivalent to global validity"
-            if typing_is_local
-            else "sound: local success implies global validity"
-        )
         return ValidationReport(
             strategy="local",
             valid=valid,
             messages=self.network.message_count - before_messages,
             bytes_shipped=self.network.bytes_shipped - before_bytes,
-            guarantee=guarantee,
+            guarantee=LOCAL_GUARANTEE,
         )
 
     def validate_batch(self, function: str, documents: Iterable[Tree]) -> BatchReport:

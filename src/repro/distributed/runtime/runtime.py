@@ -8,7 +8,13 @@
   shard holding dirty peers, in the thread that settles the round
   (:mod:`~repro.distributed.runtime.scheduler`), on the runtime's one
   compilation engine.  Each check holds the GIL throughout, so a thread
-  pool would run none of them at once.
+  pool would run none of them at once.  A shard task settles each of its
+  dirty peers in place, and the round's verdict is the conjunction of the
+  acks after it.  A round that raises keeps what it settled before the
+  failure; every publication it had not settled stays queued.
+* **One settle step** -- every validation the runtime records (a queued
+  publication or seed, a malformed latest publication, a ``Tree``
+  document, a streamed publication) goes through ``_record``.
 * **Incremental revalidation** -- every validated document is
   content-addressed with :func:`~repro.engine.fingerprint.tree_fingerprint`.
   A peer is *dirty* only when its current content differs from the content
@@ -68,7 +74,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.typing import TreeTyping
-from repro.distributed.network import DistributedDocument, ValidationReport
+from repro.distributed.network import LOCAL_GUARANTEE, DistributedDocument, ValidationReport
 from repro.distributed.peer import PublicationRecord
 from repro.distributed.runtime.scheduler import ShardScheduler
 from repro.distributed.runtime.sharding import ShardMap, resolve_shards
@@ -162,18 +168,6 @@ class RuntimeReport(ValidationReport):
     def __str__(self) -> str:
         base = super().__str__()
         return f"{base} validated={self.peers_validated} skipped={self.peers_skipped}"
-
-
-@dataclass(frozen=True)
-class _PeerOutcome:
-    """What one shard task reports back for one peer."""
-
-    function: str
-    fingerprint: str
-    ack: bool
-    validated: bool
-    fingerprinted: bool
-    malformed: bool = False
 
 
 @dataclass(frozen=True)
@@ -277,6 +271,14 @@ class StreamIngest:
     def finish(self) -> StreamPublishReport:
         """Settle the publication: clean skip, fresh verdict, or malformed.
 
+        A byte-identical re-publication passes the same clean check a
+        whole-frame ``publish`` makes and reports the cached ack.
+        Otherwise the verdict is recorded through the runtime's one
+        settle step, like a round's: against the validator pinned at
+        begin, or, for a malformed publication, as ``False`` against the
+        peer's current one while the peer keeps its previous document.
+        A queued whole-frame publication of the peer is superseded.
+
         Settlement mutates the runtime's incremental state, so it runs
         under the runtime's state lock -- concurrent streams *feed* fully
         in parallel (the heavy DFA stepping touches only this object) and
@@ -291,7 +293,6 @@ class StreamIngest:
         self._finished = True
         runtime = self._runtime
         function = self.function
-        peer = runtime.document.resources[function]
         fingerprint = "wire:" + payload_hexdigest(self._hasher)
         runtime.stats.publications += 1
         runtime.stats.streamed_publications += 1
@@ -306,50 +307,24 @@ class StreamIngest:
                 ack = run.finish()
             except InvalidXMLError:
                 malformed = True
-        if (
-            function in runtime._acks
-            and function not in runtime._pending_payloads
-            and runtime._current_fp[function] == fingerprint
-            and runtime._validated_fp.get(function) == fingerprint
-            and peer.document is runtime._fp_document.get(function)
-            and peer.validator is runtime._ack_validator.get(function)
-        ):
+        peer = runtime.document.resources[function]
+        clean = runtime._clean(function, fingerprint)
+        if clean:
             runtime.stats.clean_publications += 1
-            return StreamPublishReport(
-                function,
-                fingerprint,
-                clean=True,
-                valid=runtime._acks[function],
-                # A clean skip of a malformed latest publication is one.
-                malformed=function in runtime._malformed_latest,
-                payload_bytes=self.payload_bytes,
-                max_depth=run.max_depth,
-                events=run.events,
-            )
-        validator = self._validator
-        if malformed:
+            ack = runtime._acks[function]
+            # A clean skip of a malformed latest publication is one.
+            malformed = function in runtime._malformed_latest
+        elif malformed:
             # An unparseable publication is an invalid one; the peer keeps
             # whatever it held before, like the whole-frame wire path.
-            validator = peer.validator
-            runtime._malformed_latest.add(function)
+            runtime._record(function, fingerprint, False, peer.validator, True)
         else:
-            peer.update_document(PublicationRecord(fingerprint, ack, validator, self.payload_bytes))
-            runtime._malformed_latest.discard(function)
-        # A streamed publication supersedes any queued whole-payload one.
-        runtime._pending_payloads.pop(function, None)
-        runtime._current_fp[function] = fingerprint
-        runtime._validated_fp[function] = fingerprint
-        runtime._acks[function] = ack
-        runtime._fp_document[function] = peer.document
-        runtime._ack_validator[function] = validator
-        runtime.stats.validations_run += 1
-        coordinator = runtime.document.coordinator.name
-        runtime.network.send_control(coordinator, peer.name, "validate-request", function)
-        runtime.network.send_control(peer.name, coordinator, "validate-result", str(ack))
+            peer.update_document(PublicationRecord(fingerprint, ack, self._validator, self.payload_bytes))
+            runtime._record(function, fingerprint, ack, self._validator, False)
         return StreamPublishReport(
             function,
             fingerprint,
-            clean=False,
+            clean=clean,
             valid=ack,
             malformed=malformed,
             payload_bytes=self.payload_bytes,
@@ -387,10 +362,10 @@ class ValidationRuntime:
         self.document = document
         self.network = document.network
         #: Optional :class:`repro.observability.LogRecorder`.  Trace ids
-        #: ride with publications (``_pending_traces``), so the shard task
-        #: that eventually validates a payload can stamp its settle event
-        #: with the publication's trace even when the validation round
-        #: runs later.
+        #: ride with queued publications (``_pending_payloads``), so the
+        #: shard task that eventually validates a payload can stamp its
+        #: settle event with the publication's trace even when the
+        #: validation round runs later.
         self.logger = logger
         functions = tuple(document.resources)
         self.shard_map = ShardMap.over(functions, resolve_shards(len(functions), shards))
@@ -412,12 +387,10 @@ class ValidationRuntime:
         self._validated_fp: dict[str, str] = {}
         #: function -> cached acknowledgement of the last validation.
         self._acks: dict[str, bool] = {}
-        #: function -> (wire digest, raw payload) awaiting validation; the
-        #: digest is ``None`` for a registration seed (see :meth:`seed`).
-        self._pending_payloads: dict[str, tuple[Optional[str], str | bytes]] = {}
-        #: function -> trace id of the publication that queued the pending
-        #: payload (drained alongside ``_pending_payloads`` by the round).
-        self._pending_traces: dict[str, str] = {}
+        #: function -> (wire digest, raw payload, trace id) awaiting
+        #: validation; the digest is ``None`` for a registration seed (see
+        #: :meth:`seed`).  An entry leaves only once its peer is settled.
+        self._pending_payloads: dict[str, tuple[Optional[str], str | bytes, Optional[str]]] = {}
         #: Functions whose latest publication did not parse.  Such a peer
         #: keeps its previous document, but it answers ``False`` under
         #: every typing (no re-validation) until it publishes again.
@@ -497,7 +470,6 @@ class ValidationRuntime:
         with self._state_lock:
             self.document.resources[function].update_document(document)
             self._pending_payloads.pop(function, None)
-            self._pending_traces.pop(function, None)
             self._malformed_latest.discard(function)
             self._current_fp[function] = None
 
@@ -526,23 +498,14 @@ class ValidationRuntime:
         fingerprint = "wire:" + payload_fingerprint(payload)
         with self._state_lock:
             self.stats.publications += 1
-            if (
-                function in self._acks
-                and function not in self._pending_payloads
-                and self._current_fp[function] == fingerprint
-                and self._validated_fp.get(function) == fingerprint
-                and self.document.resources[function].document is self._fp_document.get(function)
-                and self.document.resources[function].validator is self._ack_validator.get(function)
-            ):
+            if self._clean(function, fingerprint):
                 self.stats.clean_publications += 1
                 if self.logger is not None:
                     self.logger.log_flat(
                         "debug", "runtime.publish", trace_id, "function", function, "clean", True
                     )
                 return True
-            self._pending_payloads[function] = (fingerprint, payload)
-            if trace_id is not None:
-                self._pending_traces[function] = trace_id
+            self._pending_payloads[function] = (fingerprint, payload, trace_id)
             self._current_fp[function] = None
         if self.logger is not None:
             self.logger.log_flat(
@@ -568,8 +531,7 @@ class ValidationRuntime:
         if function not in self.document.resources:
             raise DesignError(f"no resource peer serves function {function!r}")
         with self._state_lock:
-            self._pending_payloads[function] = (None, text)
-            self._pending_traces.pop(function, None)
+            self._pending_payloads[function] = (None, text, None)
             self._current_fp[function] = None
 
     def begin_stream(self, function: str) -> StreamIngest:
@@ -609,9 +571,11 @@ class ValidationRuntime:
         """Settle a streamed publication and read the global verdict atomically.
 
         What the service calls when a chunked stream ends: the settlement
-        and the verdict read happen under one acquisition of the state
-        lock, so a concurrent batch round or another stream cannot tear
-        the pair.
+        (:meth:`StreamIngest.finish`, which records a fresh verdict
+        through the same settle step a validation round uses) and the
+        verdict read happen under one acquisition of the state lock, so a
+        concurrent batch round or another stream cannot tear the pair.
+        The verdict is ``None`` while another peer is dirty.
         """
         started = time.perf_counter()
         with self._state_lock:
@@ -636,210 +600,174 @@ class ValidationRuntime:
 
         Peers with un-fingerprinted content are reported dirty even though
         the fingerprint may later prove them clean -- this is the
-        conservative pre-round view.
+        conservative pre-round view.  The rule is :meth:`_clean`'s, in one
+        inline pass over every peer: the service reads it once per settled
+        segment.
         """
         with self._state_lock:
+            current_fp, validated_fp = self._current_fp, self._validated_fp
+            fp_document, ack_validator = self._fp_document, self._ack_validator
             return tuple(
                 function
                 for function, peer in self.document.resources.items()
-                if function not in self._acks
-                or self._current_fp[function] is None
-                or peer.document is not self._fp_document.get(function)
-                or peer.validator is not self._ack_validator.get(function)
-                or self._current_fp[function] != self._validated_fp.get(function)
+                if current_fp[function] is None
+                or current_fp[function] != validated_fp.get(function)
+                or peer.document is not fp_document.get(function)
+                or peer.validator is not ack_validator.get(function)
             )
+
+    def _clean(self, function: str, fingerprint: str) -> bool:
+        """Does the peer's cached ack stand for the content ``fingerprint``?
+
+        It does while the peer's current content has that fingerprint, the
+        ack was computed for it, and the peer still holds the document and
+        the validator the ack was computed with.  A queued publication
+        leaves the current fingerprint unknown, so its peer is never clean.
+        """
+        peer = self.document.resources[function]
+        return (
+            self._current_fp[function] == fingerprint == self._validated_fp.get(function)
+            and peer.document is self._fp_document.get(function)
+            and peer.validator is self._ack_validator.get(function)
+        )
+
+    def _record(self, function: str, fingerprint: str, ack: bool, validator, malformed: bool) -> None:
+        """Record one validation of a peer: the runtime's one settle step.
+
+        The cached ack now stands for ``fingerprint``, for the document the
+        peer holds and for ``validator``, and the peer's queued publication,
+        if any, is settled or superseded.  ``malformed`` marks a latest
+        publication that did not parse, which keeps the peer ``False``
+        under every typing until it publishes again; any other validation
+        ends that state.  The coordinator's request and the peer's result
+        go out as two control messages.
+        """
+        peer = self.document.resources[function]
+        self._pending_payloads.pop(function, None)
+        self._current_fp[function] = self._validated_fp[function] = fingerprint
+        self._acks[function] = ack
+        self._fp_document[function] = peer.document
+        self._ack_validator[function] = validator
+        if malformed:
+            self._malformed_latest.add(function)
+        else:
+            self._malformed_latest.discard(function)
+        self.stats.validations_run += 1
+        coordinator = self.document.coordinator.name
+        self.network.send_control(coordinator, peer.name, "validate-request", function)
+        self.network.send_control(peer.name, coordinator, "validate-result", str(ack))
 
     # ------------------------------------------------------------------ #
     # validation
     # ------------------------------------------------------------------ #
 
-    def validate_locally(
-        self,
-        typing: Optional[TreeTyping] = None,
-        typing_is_local: bool = True,
-        force: bool = False,
-    ) -> RuntimeReport:
+    def validate_locally(self, typing: Optional[TreeTyping] = None, force: bool = False) -> RuntimeReport:
         """Validate every dirty peer's document, shard by shard.
 
         Matches the serial
         :meth:`~repro.distributed.network.DistributedDocument.validate_locally`
         verdict-for-verdict; ``force=True`` revalidates every peer even when
         its cached ack is still good (what the first round does anyway).
+        Each shard task settles its peers in place, so a round that raises
+        keeps what it settled and leaves the rest of the queued
+        publications queued for the next round.
         """
         with self._state_lock:
-            return self._validate_locally_locked(typing, typing_is_local, force)
+            return self._validate_locally_locked(typing, force)
 
-    def _validate_locally_locked(
-        self,
-        typing: Optional[TreeTyping],
-        typing_is_local: bool,
-        force: bool,
-    ) -> RuntimeReport:
+    def _validate_locally_locked(self, typing: Optional[TreeTyping], force: bool) -> RuntimeReport:
         started = time.perf_counter()
         before_messages, before_bytes = self.network.snapshot()
+        validations_before = self.stats.validations_run
         if typing is not None:
             self.propagate_typing(typing)
 
-        # Peers that need any work this round: an unknown fingerprint (the
-        # content changed, was re-published, or was swapped behind the
-        # runtime's back -- the fingerprint is only trusted while the peer
-        # still holds the object it was computed for), a missing ack, or a
-        # forced run.  Shards whose members are all clean are not dispatched.
-        payloads, self._pending_payloads = self._pending_payloads, {}
-        traces, self._pending_traces = self._pending_traces, {}
-        attention = {
-            function
-            for function, peer in self.document.resources.items()
-            if force
-            or self._current_fp[function] is None
-            or function not in self._acks
-            or peer.document is not self._fp_document.get(function)
-            or peer.validator is not self._ack_validator.get(function)
-        }
+        # Peers that need any work this round, or every peer on a forced
+        # run.  Shards whose members are all clean are not dispatched.
+        attention = set(self.document.resources if force else self.dirty_peers())
         pending_shards = [
             shard
             for shard in self.shard_map.shards()
             if any(function in attention for function in self.shard_map.members(shard))
         ]
+        parse_failures: list[str] = []
 
-        def run_shard(shard: int) -> list[_PeerOutcome]:
+        def run_shard(shard: int) -> None:
             shard_started = time.perf_counter()
-            outcomes = []
+            traced = []
             for function in self.shard_map.members(shard):
                 if function not in attention:
                     continue
                 peer = self.document.resources[function]
-                pending = payloads.get(function)
+                pending = self._pending_payloads.get(function)
                 if pending is not None:
                     # Validate the queued publication or seed from its
                     # text; the peer holds its record.
-                    fingerprint, payload = pending
+                    fingerprint, payload, trace_id = pending
                     try:
                         fingerprint, ack = peer.publish_payload(fingerprint, payload)
+                        malformed = False
                     except InvalidXMLError:
                         # Malformed XML: an invalid publication.  The peer's
                         # previous document is kept; re-publishing the same
                         # bytes is clean-skipped like any other content.
-                        outcomes.append(
-                            _PeerOutcome(
-                                function, fingerprint or _NO_DOCUMENT, False, True, True,
-                                malformed=True,
-                            )
-                        )
-                        continue
-                    outcomes.append(_PeerOutcome(function, fingerprint, ack, True, True))
-                    continue
-                if (
+                        fingerprint, ack, malformed = fingerprint or _NO_DOCUMENT, False, True
+                        parse_failures.append(function)
+                    self.stats.fingerprints_computed += 1
+                    self._record(function, fingerprint, ack, peer.validator, malformed)
+                    if trace_id:
+                        traced.append((trace_id, function, ack))
+                elif (
                     function in self._malformed_latest
                     and peer.document is self._fp_document.get(function)
                 ):
                     # The latest publication did not parse: it stays
                     # invalid, whatever the typing -- the kept previous
                     # document is not what the peer last published.
-                    outcomes.append(
-                        _PeerOutcome(function, self._current_fp[function], False, True, False)
-                    )
-                    continue
-                fingerprint = self._current_fp[function]
-                fingerprinted = (
-                    fingerprint is None or peer.document is not self._fp_document.get(function)
-                )
-                if fingerprinted:
-                    fingerprint = (
-                        "tree:" + tree_fingerprint(peer.document)
-                        if peer.document is not None
-                        else _NO_DOCUMENT
-                    )
-                stale = (
-                    force
-                    or function not in self._acks
-                    or fingerprint != self._validated_fp.get(function)
-                    or peer.validator is not self._ack_validator.get(function)
-                )
-                ack = peer.validate_locally() if stale else self._acks[function]
-                outcomes.append(_PeerOutcome(function, fingerprint, ack, stale, fingerprinted))
-            if self.logger is not None and traces:
-                shard_ms = round(1000 * (time.perf_counter() - shard_started), 3)
-                for outcome in outcomes:
-                    trace_id = traces.get(outcome.function)
-                    if trace_id:
-                        self.logger.log_flat(
-                            "info", "shard.settle", trace_id,
-                            "shard", shard, "function", outcome.function,
-                            "ack", outcome.ack, "validated", outcome.validated,
-                            "ms", shard_ms,
-                        )
-            return outcomes
-
-        validated = skipped = fingerprinted = 0
-        valid = True
-        coordinator = self.document.coordinator.name
-        handled: set[str] = set()
-        parse_failures: list[str] = []
-        try:
-            shard_outcomes = self.scheduler.map_shards(run_shard, pending_shards)
-        except BaseException:
-            # A failed round must not swallow queued publications: re-queue
-            # whatever this round took (newer publishes, if any, win).
-            self._pending_payloads = {**payloads, **self._pending_payloads}
-            self._pending_traces = {**traces, **self._pending_traces}
-            raise
-        for outcomes in shard_outcomes:
-            for outcome in outcomes:
-                handled.add(outcome.function)
-                if outcome.malformed:
-                    parse_failures.append(outcome.function)
-                    self._malformed_latest.add(outcome.function)
-                elif outcome.function in payloads or outcome.fingerprinted:
-                    # A new publication parsed, or the document changed
-                    # behind the runtime's back: the malformed one is past.
-                    self._malformed_latest.discard(outcome.function)
-                self._current_fp[outcome.function] = outcome.fingerprint
-                self._fp_document[outcome.function] = self.document.resources[
-                    outcome.function
-                ].document
-                fingerprinted += outcome.fingerprinted
-                if outcome.validated:
-                    validated += 1
-                    peer_name = self.document.resources[outcome.function].name
-                    self.network.send_control(
-                        coordinator, peer_name, "validate-request", outcome.function
-                    )
-                    self.network.send_control(
-                        peer_name, coordinator, "validate-result", str(outcome.ack)
-                    )
-                    self._acks[outcome.function] = outcome.ack
-                    self._validated_fp[outcome.function] = outcome.fingerprint
-                    self._ack_validator[outcome.function] = self.document.resources[
-                        outcome.function
-                    ].validator
+                    self._record(function, self._current_fp[function], False, peer.validator, True)
                 else:
-                    skipped += 1
-                valid = valid and outcome.ack
-        # Peers not dispatched at all reuse their cached acknowledgements.
-        for function in self.document.resources:
-            if function not in handled:
-                skipped += 1
-                valid = valid and self._acks[function]
+                    fingerprint = self._current_fp[function]
+                    if fingerprint is None or peer.document is not self._fp_document.get(function):
+                        # The content changed, or was swapped behind the
+                        # runtime's back (a fingerprint is only trusted while
+                        # the peer holds the object it was computed for):
+                        # address it, which ends a malformed publication.
+                        fingerprint = (
+                            "tree:" + tree_fingerprint(peer.document)
+                            if peer.document is not None
+                            else _NO_DOCUMENT
+                        )
+                        self._current_fp[function] = fingerprint
+                        self._fp_document[function] = peer.document
+                        self._malformed_latest.discard(function)
+                        self.stats.fingerprints_computed += 1
+                    if force or not self._clean(function, fingerprint):
+                        ack = peer.validate_locally()
+                        self._record(function, fingerprint, ack, peer.validator, False)
+            if self.logger is not None and traced:
+                shard_ms = round(1000 * (time.perf_counter() - shard_started), 3)
+                for trace_id, function, ack in traced:
+                    self.logger.log_flat(
+                        "info", "shard.settle", trace_id,
+                        "shard", shard, "function", function,
+                        "ack", ack, "validated", True,
+                        "ms", shard_ms,
+                    )
 
+        self.scheduler.map_shards(run_shard, pending_shards)
+        validated = self.stats.validations_run - validations_before
+        skipped = len(self.document.resources) - validated
         after_messages, after_bytes = self.network.snapshot()
         elapsed = time.perf_counter() - started
         self.stats.rounds += 1
-        self.stats.validations_run += validated
         self.stats.validations_skipped += skipped
-        self.stats.fingerprints_computed += fingerprinted
         self.stats.wall_seconds += elapsed
-        guarantee = (
-            "sound & complete: local success is equivalent to global validity"
-            if typing_is_local
-            else "sound: local success implies global validity"
-        )
         return RuntimeReport(
             strategy="local-parallel",
-            valid=valid,
+            valid=all(self._acks[function] for function in self.document.resources),
             messages=after_messages - before_messages,
             bytes_shipped=after_bytes - before_bytes,
-            guarantee=guarantee,
+            guarantee=LOCAL_GUARANTEE,
             peers_validated=validated,
             peers_skipped=skipped,
             wall_seconds=elapsed,

@@ -45,6 +45,7 @@ from repro.engine.fingerprint import (
 from repro.trees.automata import (
     UnrankedTreeAutomaton,
     tree_language_counterexample,
+    tree_language_equivalence_counterexample,
 )
 from repro.trees.document import Tree
 
@@ -307,17 +308,20 @@ class CompilationEngine:
     def tree_equivalence_counterexample(
         self, left: UnrankedTreeAutomaton, right: UnrankedTreeAutomaton
     ) -> Optional[tuple[str, Tree]]:
-        """A witness of tree-language non-equivalence, or ``None``."""
-        if self.fingerprint(left) == self.fingerprint(right):
+        """A witness of tree-language non-equivalence, or ``None`` (cached).
+
+        One joint search classifies both inclusions.  When both fail, the
+        side returned is the one of the first profile the search found.
+        """
+        key = (self.fingerprint(left), self.fingerprint(right))
+        if key[0] == key[1]:
             self.fingerprint_fast_path_hits += 1
             return None
-        witness = self.tree_inclusion_counterexample(left, right)
-        if witness is not None:
-            return ("left-only", witness)
-        witness = self.tree_inclusion_counterexample(right, left)
-        if witness is not None:
-            return ("right-only", witness)
-        return None
+        return self.memo(
+            "tree-equivalence",
+            key,
+            lambda: tree_language_equivalence_counterexample(left, right),
+        )
 
     def tree_equivalent(self, left: UnrankedTreeAutomaton, right: UnrankedTreeAutomaton) -> bool:
         return self.tree_equivalence_counterexample(left, right) is None

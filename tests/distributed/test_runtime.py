@@ -23,6 +23,7 @@ from repro.distributed.runtime import ShardMap, ShardScheduler, ValidationRuntim
 from repro.engine.compilation import CompilationEngine, get_default_engine
 from repro.engine.fingerprint import payload_fingerprint, tree_fingerprint
 from repro.errors import DesignError
+from repro.observability import LogRecorder
 from repro.schemas.dtd import DTD
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
@@ -324,6 +325,28 @@ class TestIncrementalRevalidation:
             report = runtime.validate_locally(workload.typing)
             assert not report.valid
 
+    def test_a_round_failing_part_way_keeps_what_it_settled(self):
+        workload = distributed_workload(peers=2, documents=2, seed=3)
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, shards=2) as runtime:
+            assert [runtime.shard_map.shard_of(f) for f in ("f1", "f2")] == [0, 1]
+            # Only the first shard's peer has a local type: the second
+            # shard's settle raises after the first shard settled.
+            document.resources["f1"].assign_type(workload.typing["f1"])
+            for function, tree in workload.initial_documents.items():
+                runtime.publish(function, tree_to_xml(tree))
+            with pytest.raises(RuntimeError):
+                runtime.validate_locally()
+            state = runtime.export_state()
+            assert state["acks"] == {"f1": True}
+            assert state["pending"] == ["f2"]
+            assert document.network.message_count == 2  # f1's request and ack
+            document.resources["f2"].assign_type(workload.typing["f2"])
+            report = runtime.validate_locally()
+            assert report.valid and report.peers_validated == 1
+            assert runtime.export_state()["pending"] == []
+            assert runtime.dirty_peers() == ()
+
     def test_update_unknown_function_rejected(self):
         workload = build_workload()
         document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
@@ -433,6 +456,48 @@ class TestWirePublish:
             assert peer.answer() == bad
             assert peer.document_size() == len(tree_to_xml(bad).encode("utf-8"))
             assert not document.validate_centralized(workload.global_type).valid
+
+
+class TestSettleTraces:
+    """A queued publication's trace id is set and dropped with its payload."""
+
+    @staticmethod
+    def settles(logger):
+        return [
+            (event["trace"], event["function"], event["ack"])
+            for event in logger.export(traced=True)
+            if event["name"] == "shard.settle"
+        ]
+
+    def test_an_untraced_republication_drops_the_queued_trace(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        logger = LogRecorder()
+        with ValidationRuntime(document, logger=logger) as runtime:
+            runtime.validate_locally(workload.typing)
+            good = workload.initial_documents["f1"]
+            runtime.publish("f1", tree_to_xml(corrupt_document(good)), trace_id="t1")
+            runtime.publish("f1", tree_to_xml(corrupt_document(corrupt_document(good))))
+            assert not runtime.validate_locally().valid
+            assert self.settles(logger) == []
+            # A traced publication's settle does carry its id.
+            runtime.publish("f1", tree_to_xml(good), trace_id="t3")
+            assert runtime.validate_locally().valid
+            assert self.settles(logger) == [("t3", "f1", True)]
+
+    def test_a_settled_stream_drops_the_queued_trace(self):
+        workload = build_workload()
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        logger = LogRecorder()
+        with ValidationRuntime(document, logger=logger) as runtime:
+            runtime.validate_locally(workload.typing)
+            good = workload.initial_documents["f1"]
+            runtime.publish("f1", tree_to_xml(corrupt_document(good)), trace_id="t2")
+            assert runtime.publish_stream("f1", tree_to_xml(good)).valid
+            assert runtime.export_state()["pending"] == []
+            runtime.publish("f1", tree_to_xml(corrupt_document(corrupt_document(good))))
+            assert not runtime.validate_locally().valid
+            assert self.settles(logger) == []
 
 
 #: A ``str`` publication declaring an encoding it is no longer in: read as

@@ -482,12 +482,17 @@ def assert_search_agrees(left, right, samples):
         assert left.accepts(left_only) and not right.accepts(left_only)
     separation = tree_language_equivalence_counterexample(left, right)
     assert tree_language_equivalent(left, right) is (separation is None)
+    # The engine's answer: computed once, then the same object from its memo.
+    engine = CompilationEngine()
+    cached = engine.tree_equivalence_counterexample(left, right)
+    assert engine.tree_equivalence_counterexample(left, right) is cached
+    assert (cached is None) is (separation is None)
     if separation is None:
         assert all(left.accepts(tree) is right.accepts(tree) for tree in samples)
     else:
-        side, witness = separation
-        claimed = (True, False) if side == "left-only" else (False, True)
-        assert (left.accepts(witness), right.accepts(witness)) == claimed
+        for side, witness in (separation, cached):
+            claimed = (True, False) if side == "left-only" else (False, True)
+            assert (left.accepts(witness), right.accepts(witness)) == claimed
 
 
 @st.composite
