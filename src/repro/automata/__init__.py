@@ -19,61 +19,38 @@ regular *string* languages:
 * :mod:`repro.automata.determinism` -- deterministic regular expressions
   (``dRE``), i.e. one-unambiguous languages, with the Brüggemann-Klein/Wood
   decision procedure for ``one-unamb[R]`` (Definition 2).
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.automata.nfa import EPSILON, NFA
-from repro.automata.dfa import DFA
-from repro.automata.operations import (
-    concat,
-    complement,
-    difference,
-    intersection,
-    kleene_star,
-    optional,
-    plus,
-    reverse,
-    sigma_star,
-    union,
-)
-from repro.automata.equivalence import (
-    counterexample,
-    equivalent,
-    find_word,
-    includes,
-    is_empty,
-)
-from repro.automata.regex import (
-    Regex,
-    parse_regex,
-    regex_to_nfa,
-    glushkov_nfa,
-    is_deterministic_regex,
-)
-from repro.automata.determinism import is_one_unambiguous
+from repro import lazy_exports
 
-__all__ = [
-    "EPSILON",
-    "NFA",
-    "DFA",
-    "concat",
-    "complement",
-    "difference",
-    "intersection",
-    "kleene_star",
-    "optional",
-    "plus",
-    "reverse",
-    "sigma_star",
-    "union",
-    "counterexample",
-    "equivalent",
-    "find_word",
-    "includes",
-    "is_empty",
-    "Regex",
-    "parse_regex",
-    "regex_to_nfa",
-    "glushkov_nfa",
-    "is_deterministic_regex",
-    "is_one_unambiguous",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nfa": ("EPSILON", "NFA"),
+        "dfa": ("DFA",),
+        "operations": (
+            "concat",
+            "complement",
+            "difference",
+            "intersection",
+            "kleene_star",
+            "optional",
+            "plus",
+            "reverse",
+            "sigma_star",
+            "union",
+        ),
+        "equivalence": ("counterexample", "equivalent", "find_word", "includes", "is_empty"),
+        "regex": (
+            "Regex",
+            "parse_regex",
+            "regex_to_nfa",
+            "glushkov_nfa",
+            "is_deterministic_regex",
+        ),
+        "determinism": ("is_one_unambiguous",),
+    },
+)

@@ -16,27 +16,24 @@ The legacy implementations stay available (``DFA.from_nfa_legacy``,
 ``DFA.minimized_moore``, ``counterexample_inclusion_uncached``) as
 differential-testing oracles; ``tests/automata/test_kernel_identity.py``
 checks the two sides agree on random automata.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.automata.kernel.compact import CompactNFA, iter_bits, mask_of
-from repro.automata.kernel.determinize import determinize_nfa, subset_construction
-from repro.automata.kernel.hopcroft import hopcroft_partition
-from repro.automata.kernel.inclusion import (
-    nfa_included,
-    nfa_intersects,
-    product_intersection,
-    product_is_empty,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CompactNFA",
-    "iter_bits",
-    "mask_of",
-    "determinize_nfa",
-    "subset_construction",
-    "hopcroft_partition",
-    "nfa_included",
-    "nfa_intersects",
-    "product_intersection",
-    "product_is_empty",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "compact": ("CompactNFA", "iter_bits", "mask_of"),
+        "determinize": ("determinize_nfa", "subset_construction"),
+        "hopcroft": ("hopcroft_partition",),
+        "inclusion": (
+            "nfa_included",
+            "nfa_intersects",
+            "product_intersection",
+            "product_is_empty",
+        ),
+    },
+)

@@ -61,8 +61,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.api import analyze_design, bottom_up_design, kernel, top_down_design
-from repro.engine import CompilationEngine, use_engine
+from repro.engine.compilation import CompilationEngine, use_engine
 from repro.errors import ReproError
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.trees.term import parse_term
@@ -541,6 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_topdown(args: argparse.Namespace) -> int:
+    from repro.api import analyze_design, kernel, top_down_design
+
     target = _load_schema(args.schema, args.start)
     design = top_down_design(target, kernel(args.kernel))
     report = analyze_design(design, maximal_limit=args.maximal)
@@ -566,6 +567,8 @@ def _run_topdown(args: argparse.Namespace) -> int:
 
 
 def _run_bottomup(args: argparse.Namespace) -> int:
+    from repro.api import analyze_design, bottom_up_design, kernel
+
     if not args.type:
         raise ReproError("at least one --type FUNCTION=SCHEMA assignment is required")
     types = {}
@@ -721,7 +724,6 @@ def _serve_until_shutdown(server, args: argparse.Namespace, role: str, extra=Non
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.protocol import MAX_FRAME_BYTES
     from repro.service.server import DEFAULT_MAX_BATCH, ValidationServer
-    from repro.workloads.synthetic import distributed_workload
 
     overload_options = {}
     for name in (
@@ -745,6 +747,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         **overload_options,
     )
     if args.preload_peers:
+        from repro.workloads.synthetic import distributed_workload
+
         workload = distributed_workload(
             peers=args.preload_peers, documents=args.preload_peers, seed=args.preload_seed
         )

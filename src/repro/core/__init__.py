@@ -19,26 +19,21 @@ The package is organised by the paper's own structure:
 * :mod:`repro.core.locality` -- verification problems ``loc / ml / perf [S]``,
 * :mod:`repro.core.existence` -- existence problems ``∃-loc / ∃-ml / ∃-perf [S]``
   together with typing construction.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.core.kernel import KernelTree
-from repro.core.typing import TreeTyping, typing_compare
-from repro.core.design import BottomUpDesign, TopDownDesign
-from repro.core.consistency import ConsistencyResult, build_combined_type, check_consistency
-from repro.core.words import Box, KernelString, build_word_automaton
-from repro.core.perfect import PerfectAutomaton
+from repro import lazy_exports
 
-__all__ = [
-    "KernelTree",
-    "TreeTyping",
-    "typing_compare",
-    "BottomUpDesign",
-    "TopDownDesign",
-    "ConsistencyResult",
-    "build_combined_type",
-    "check_consistency",
-    "Box",
-    "KernelString",
-    "build_word_automaton",
-    "PerfectAutomaton",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kernel": ("KernelTree",),
+        "typing": ("TreeTyping", "typing_compare"),
+        "design": ("BottomUpDesign", "TopDownDesign"),
+        "consistency": ("ConsistencyResult", "build_combined_type", "check_consistency"),
+        "words": ("Box", "KernelString", "build_word_automaton"),
+        "perfect": ("PerfectAutomaton",),
+    },
+)

@@ -16,7 +16,6 @@ from collections.abc import Iterable, Mapping
 from typing import Union
 
 from repro.errors import DesignError
-from repro.schemas.compare import Schema, schema_equivalent, schema_includes
 from repro.schemas.dtd import DTD
 from repro.schemas.edtd import EDTD
 from repro.schemas.sdtd import SDTD
@@ -118,6 +117,8 @@ class TreeTyping:
         Components are compared up to the name of their dedicated root
         element (see :func:`canonical_root_view`).
         """
+        from repro.schemas.compare import schema_equivalent
+
         if set(self.types) != set(other.types):
             return False
         return all(
@@ -127,6 +128,8 @@ class TreeTyping:
 
     def smaller_or_equal(self, other: "TreeTyping") -> bool:
         """``(τn) ≤ (τ'n)``: component-wise language inclusion (up to root renaming)."""
+        from repro.schemas.compare import schema_includes
+
         if set(self.types) != set(other.types):
             return False
         return all(
@@ -156,7 +159,7 @@ class TreeTyping:
         return f"TreeTyping(functions={list(self.types)!r})"
 
 
-def schema_root(schema: Schema) -> str:
+def schema_root(schema: SchemaType) -> str:
     """The root element name of a schema of any of the three languages."""
     if isinstance(schema, DTD):
         return schema.start

@@ -9,28 +9,19 @@ subtree to the coordinator and validate the materialised document against
 the global type) or *locally* (each peer validates its own data against its
 propagated local type; soundness of the typing then guarantees global
 validity without shipping any data).
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.distributed.peer import Message, Peer, ResourcePeer
-from repro.distributed.network import DistributedDocument, Network, ValidationReport
-from repro.distributed.runtime import (
-    RuntimeReport,
-    RuntimeStats,
-    ValidationRuntime,
-    WorkloadDriver,
-    WorkloadReport,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Message",
-    "Peer",
-    "ResourcePeer",
-    "Network",
-    "DistributedDocument",
-    "ValidationReport",
-    "RuntimeReport",
-    "RuntimeStats",
-    "ValidationRuntime",
-    "WorkloadDriver",
-    "WorkloadReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "peer": ("Message", "Peer", "ResourcePeer"),
+        "network": ("DistributedDocument", "Network", "ValidationReport"),
+        "runtime.runtime": ("RuntimeReport", "RuntimeStats", "ValidationRuntime"),
+        "runtime.driver": ("WorkloadDriver", "WorkloadReport"),
+    },
+)

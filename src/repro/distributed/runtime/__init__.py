@@ -15,38 +15,27 @@ package turns it into a runtime:
 * :mod:`~repro.distributed.runtime.driver` -- :class:`WorkloadDriver`:
   replay synthetic publication workloads through the serial, runtime and
   centralized strategies and compare their cost ledgers.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.distributed.runtime.driver import (
-    STRATEGIES,
-    StrategyOutcome,
-    WorkloadDriver,
-    WorkloadReport,
-)
-from repro.distributed.runtime.runtime import (
-    RuntimeReport,
-    RuntimeStats,
-    StreamIngest,
-    StreamPublishReport,
-    ValidationRuntime,
-    merge_states,
-    state_digest_of,
-)
-from repro.distributed.runtime.scheduler import ShardScheduler
-from repro.distributed.runtime.sharding import ShardMap
+from repro import lazy_exports
 
-__all__ = [
-    "STRATEGIES",
-    "RuntimeReport",
-    "RuntimeStats",
-    "ShardMap",
-    "ShardScheduler",
-    "StrategyOutcome",
-    "StreamIngest",
-    "StreamPublishReport",
-    "ValidationRuntime",
-    "WorkloadDriver",
-    "WorkloadReport",
-    "merge_states",
-    "state_digest_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "driver": ("STRATEGIES", "StrategyOutcome", "WorkloadDriver", "WorkloadReport"),
+        "runtime": (
+            "RuntimeReport",
+            "RuntimeStats",
+            "StreamIngest",
+            "StreamPublishReport",
+            "ValidationRuntime",
+            "merge_states",
+            "state_digest_of",
+        ),
+        "scheduler": ("ShardScheduler",),
+        "sharding": ("ShardMap",),
+    },
+)

@@ -26,43 +26,32 @@ A process-wide default engine is installed at import time; the layers above
 route through it unless an explicit engine is injected (see
 :func:`use_engine` and the ``engine`` parameter of
 :func:`repro.api.analyze_design`).
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.engine.batch import BatchReport, BatchValidator, CompiledSchema
-from repro.engine.cache import CacheStats, LRUCache
-from repro.engine.compilation import (
-    CompilationEngine,
-    get_default_engine,
-    reset_default_engine,
-    set_default_engine,
-    use_engine,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "batch": ("BatchReport", "BatchValidator", "CompiledSchema"),
+        "cache": ("CacheStats", "LRUCache"),
+        "compilation": (
+            "CompilationEngine",
+            "get_default_engine",
+            "reset_default_engine",
+            "set_default_engine",
+            "use_engine",
+        ),
+        "fingerprint": (
+            "alphabet_key",
+            "dfa_fingerprint",
+            "nfa_fingerprint",
+            "payload_fingerprint",
+            "tree_fingerprint",
+            "uta_fingerprint",
+        ),
+    },
 )
-from repro.engine.fingerprint import (
-    alphabet_key,
-    dfa_fingerprint,
-    nfa_fingerprint,
-    payload_fingerprint,
-    tree_fingerprint,
-    uta_fingerprint,
-)
-
-__all__ = [
-    "BatchReport",
-    "BatchValidator",
-    "CacheStats",
-    "CompilationEngine",
-    "CompiledSchema",
-    "LRUCache",
-    "alphabet_key",
-    "dfa_fingerprint",
-    "get_default_engine",
-    "nfa_fingerprint",
-    "payload_fingerprint",
-    "reset_default_engine",
-    "set_default_engine",
-    "tree_fingerprint",
-    "use_engine",
-    "uta_fingerprint",
-]

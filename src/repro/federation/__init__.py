@@ -14,16 +14,18 @@ package runs it as real processes instead of simulated peers:
   directory plus N pods (threads or child processes), route publications
   to the owning pod, and compare merged state digests against a
   single-process :class:`~repro.distributed.runtime.ValidationRuntime`.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.federation.directory import DirectoryServer, PodRecord
-from repro.federation.orchestrator import SPAWN_MODES, Federation
-from repro.federation.pod import PodServer
+from repro import lazy_exports
 
-__all__ = [
-    "SPAWN_MODES",
-    "DirectoryServer",
-    "Federation",
-    "PodRecord",
-    "PodServer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "directory": ("DirectoryServer", "PodRecord"),
+        "orchestrator": ("SPAWN_MODES", "Federation"),
+        "pod": ("PodServer",),
+    },
+)

@@ -59,6 +59,9 @@ SPAWN_MODES = ("thread", "process")
 #: Seconds a spawned child gets to write its port file before boot fails.
 _BOOT_DEADLINE = 30.0
 
+#: Seconds between two looks for a child's port file.
+_PORT_POLL_SECONDS = 0.005
+
 #: Seconds a shutdown request gets before the child is killed (and the
 #: kill reported as a leak).
 _SHUTDOWN_DEADLINE = 15.0
@@ -72,6 +75,8 @@ class _Pod:
         self.functions = functions
         self.handle: Optional[ServiceHandle] = None
         self.proc: Optional[subprocess.Popen] = None
+        #: The port file a launched child announces its bound port in.
+        self.port_file: Optional[Path] = None
         self.client: Optional[ServiceClient] = None
         self.host: str = "127.0.0.1"
         self.port: int = 0
@@ -169,13 +174,21 @@ class Federation:
     # ------------------------------------------------------------------ #
 
     def _boot(self) -> None:
+        """Bind the directory, launch every pod, then attach and register each.
+
+        Pods join the directory they are launched with, so it binds first;
+        the pods then start side by side, and each interpreter's start-up
+        overlaps the others' before the first port file is awaited.
+        """
         self._start_directory()
         self._directory_client = ServiceClient(
             self.directory_host, self.directory_port, timeout=self.client_timeout
         )
         self._directory_client.typing_update(self.typing_version)
         for pod in self._pods:
-            self._start_pod(pod)
+            self._launch_pod(pod)
+        for pod in self._pods:
+            self._attach_pod(pod)
             self._register_fragment(pod)
 
     def _child_env(self) -> dict:
@@ -186,14 +199,16 @@ class Federation:
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         return env
 
-    def _await_port_file(self, port_file: Path, what: str) -> int:
+    def _await_port_file(self, port_file: Path, proc: subprocess.Popen, what: str) -> int:
         deadline = time.monotonic() + _BOOT_DEADLINE
         while time.monotonic() < deadline:
             if port_file.exists():
                 text = port_file.read_text(encoding="utf-8").strip()
                 if text:
                     return int(text)
-            time.sleep(0.02)
+            if proc.poll() is not None:
+                raise DesignError(f"{what} exited with code {proc.returncode} before binding")
+            time.sleep(_PORT_POLL_SECONDS)
         raise DesignError(f"{what} never wrote its port file (boot failed?)")
 
     def _start_directory(self) -> None:
@@ -221,10 +236,13 @@ class Federation:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        self.directory_port = self._await_port_file(port_file, "the directory server")
+        self.directory_port = self._await_port_file(
+            port_file, self._directory_proc, "the directory server"
+        )
         self.directory_host = self.host
 
-    def _start_pod(self, pod: _Pod) -> None:
+    def _launch_pod(self, pod: _Pod) -> None:
+        """Start a pod: bound at once on a thread, or a child left to start up."""
         if self.spawn == "thread":
             server = PodServer(
                 host=self.host,
@@ -238,12 +256,12 @@ class Federation:
             pod.handle = ServiceHandle(server).start()
             pod.host, pod.port = server.host, server.port
         else:
-            port_file = self._workdir / f"{pod.pod_id}-{time.monotonic_ns()}.port"
+            pod.port_file = self._workdir / f"{pod.pod_id}-{time.monotonic_ns()}.port"
             pod.proc = subprocess.Popen(
                 [
                     sys.executable, "-m", "repro.cli", "pod",
                     "--host", self.host, "--port", "0",
-                    "--port-file", str(port_file),
+                    "--port-file", str(pod.port_file),
                     "--pod-id", pod.pod_id,
                     "--directory", f"{self.directory_host}:{self.directory_port}",
                     "--lease-interval", str(self.lease_interval),
@@ -254,7 +272,11 @@ class Federation:
                 stderr=subprocess.DEVNULL,
             )
             pod.host = self.host
-            pod.port = self._await_port_file(port_file, f"pod {pod.pod_id!r}")
+
+    def _attach_pod(self, pod: _Pod) -> None:
+        """Wait for a launched pod to bind, then connect its client."""
+        if pod.proc is not None:
+            pod.port = self._await_port_file(pod.port_file, pod.proc, f"pod {pod.pod_id!r}")
         pod.client = ServiceClient(pod.host, pod.port, timeout=self.client_timeout)
         pod.alive = True
 
@@ -552,7 +574,8 @@ class Federation:
         pod = self._pods[index]
         if pod.alive:
             raise DesignError(f"pod {pod.pod_id!r} is still alive")
-        self._start_pod(pod)
+        self._launch_pod(pod)
+        self._attach_pod(pod)
         return self._register_fragment(pod)
 
     # ------------------------------------------------------------------ #
@@ -581,7 +604,11 @@ class Federation:
         proc: Optional[subprocess.Popen],
         handle: Optional[ServiceHandle],
     ) -> bool:
-        """Gracefully stop one member; returns True when nothing leaked."""
+        """Gracefully stop one member; returns True when nothing leaked.
+
+        A child launched but never attached (its boot failed) has no
+        client to ask and nothing to drain: it is killed outright.
+        """
         clean = True
         if client is not None:
             try:
@@ -592,6 +619,8 @@ class Federation:
                 client.close()
             except OSError:  # pragma: no cover
                 pass
+        elif proc is not None:
+            proc.kill()
         if proc is not None:
             try:
                 proc.wait(timeout=_SHUTDOWN_DEADLINE)
@@ -610,10 +639,9 @@ class Federation:
         self._closed = True
         clean = True
         for pod in self._pods:
-            if pod.alive:
-                clean = self._shutdown_server(pod.client, pod.proc, pod.handle) and clean
-                pod.client, pod.proc, pod.handle = None, None, None
-                pod.alive = False
+            clean = self._shutdown_server(pod.client, pod.proc, pod.handle) and clean
+            pod.client, pod.proc, pod.handle = None, None, None
+            pod.alive = False
         clean = (
             self._shutdown_server(
                 self._directory_client, self._directory_proc, self._directory_handle

@@ -20,27 +20,24 @@ Small, dependency-free subsystems every serving layer shares:
 * :mod:`repro.observability.profiling` -- a sampling profiler
   (:class:`SamplingProfiler`) over ``sys._current_frames()`` producing
   flamegraph-compatible collapsed stacks from a live process.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.observability.exposition import (
-    EXPOSITION_CONTENT_TYPE,
-    MetricsExporter,
-    merge_expositions,
-    render_exposition,
-)
-from repro.observability.logs import LogRecorder, new_trace_id
-from repro.observability.profiling import SamplingProfiler
-from repro.observability.slo import DEFAULT_OBJECTIVES, LatencyObjective, SloEvaluator
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_OBJECTIVES",
-    "EXPOSITION_CONTENT_TYPE",
-    "LatencyObjective",
-    "LogRecorder",
-    "MetricsExporter",
-    "SamplingProfiler",
-    "SloEvaluator",
-    "merge_expositions",
-    "new_trace_id",
-    "render_exposition",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "exposition": (
+            "EXPOSITION_CONTENT_TYPE",
+            "MetricsExporter",
+            "merge_expositions",
+            "render_exposition",
+        ),
+        "logs": ("LogRecorder", "new_trace_id"),
+        "profiling": ("SamplingProfiler",),
+        "slo": ("DEFAULT_OBJECTIVES", "LatencyObjective", "SloEvaluator"),
+    },
+)

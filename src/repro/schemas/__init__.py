@@ -17,26 +17,21 @@ closure constructions used by the bottom-up consistency problems live in
 :mod:`repro.schemas.closures`, and :mod:`repro.schemas.dtd_text` parses both
 W3C ``<!ELEMENT ...>`` syntax and the compact arrow notation the paper uses
 in Figures 3-6.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.schemas.content_model import ContentModel, Formalism
-from repro.schemas.dtd import DTD
-from repro.schemas.sdtd import SDTD
-from repro.schemas.edtd import EDTD, NormalizedEDTD, is_normalized, normalize
-from repro.schemas.closures import dtd_closure, single_type_closure
-from repro.schemas.dtd_text import parse_dtd_text, parse_rules
+from repro import lazy_exports
 
-__all__ = [
-    "ContentModel",
-    "Formalism",
-    "DTD",
-    "SDTD",
-    "EDTD",
-    "NormalizedEDTD",
-    "is_normalized",
-    "normalize",
-    "dtd_closure",
-    "single_type_closure",
-    "parse_dtd_text",
-    "parse_rules",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "content_model": ("ContentModel", "Formalism"),
+        "dtd": ("DTD",),
+        "sdtd": ("SDTD",),
+        "edtd": ("EDTD", "NormalizedEDTD", "is_normalized", "normalize"),
+        "closures": ("dtd_closure", "single_type_closure"),
+        "dtd_text": ("parse_dtd_text", "parse_rules"),
+    },
+)

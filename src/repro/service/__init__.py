@@ -22,40 +22,21 @@ in-process.  ``repro.service`` adds the actual service boundary:
   (:class:`~repro.service.faults.FaultyTransport`) that drops, delays,
   truncates, duplicates and severs frames deterministically, so every
   failure mode is a reproducible test.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.service.client import (
-    AsyncServiceClient,
-    RetryPolicy,
-    ServiceClient,
-    ServiceError,
-)
-from repro.service.faults import FaultPlan, FaultyTransport
-from repro.service.loadgen import LoadReport, publication_stream, run_load
-from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    RETRYABLE_CODES,
-    ProtocolError,
-)
-from repro.service.server import ServiceHandle, ValidationServer
+from repro import lazy_exports
 
-__all__ = [
-    "AsyncServiceClient",
-    "FaultPlan",
-    "FaultyTransport",
-    "LoadReport",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RETRYABLE_CODES",
-    "RetryPolicy",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHandle",
-    "ServiceMetrics",
-    "ValidationServer",
-    "publication_stream",
-    "run_load",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("AsyncServiceClient", "RetryPolicy", "ServiceClient", "ServiceError"),
+        "faults": ("FaultPlan", "FaultyTransport"),
+        "loadgen": ("LoadReport", "publication_stream", "run_load"),
+        "metrics": ("ServiceMetrics",),
+        "protocol": ("MAX_FRAME_BYTES", "PROTOCOL_VERSION", "RETRYABLE_CODES", "ProtocolError"),
+        "server": ("ServiceHandle", "ValidationServer"),
+    },
+)

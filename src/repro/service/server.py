@@ -35,14 +35,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Optional, Union
+from typing import IO, TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.core.kernel import KernelTree
 from repro.core.typing import TreeTyping
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime.runtime import ValidationRuntime
 from repro.errors import InvalidXMLError, ReproError
-from repro.observability.exposition import MetricsExporter, render_exposition
 from repro.observability.logs import LogRecorder
 from repro.observability.profiling import SamplingProfiler
 from repro.observability.slo import SloEvaluator
@@ -52,6 +51,9 @@ from repro.service.metrics import ServiceMetrics
 from repro.streaming.machine import streaming_validator_for
 from repro.trees.document import Tree
 from repro.trees.term import parse_term
+
+if TYPE_CHECKING:
+    from repro.observability.exposition import MetricsExporter
 
 __all__ = ["OpError", "RegisteredDesign", "ValidationServer", "ServiceHandle"]
 
@@ -313,7 +315,7 @@ class AdmissionController:
         for item, outcome in settled:
             if item.future.done():
                 continue
-            if isinstance(outcome, OpError):
+            if isinstance(outcome, Exception):
                 item.future.set_exception(outcome)
             else:
                 item.future.set_result(outcome)
@@ -425,6 +427,8 @@ class ValidationServer:
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         if self.metrics_port is not None and self._exporter is None:
+            from repro.observability.exposition import MetricsExporter
+
             self._exporter = MetricsExporter(
                 self._render_metrics,
                 host=self.host,
@@ -506,6 +510,8 @@ class ValidationServer:
 
     def _render_metrics(self) -> str:
         """The exposition text ``/metrics`` serves (roles may add gauges)."""
+        from repro.observability.exposition import render_exposition
+
         self.slo.refresh()
         return render_exposition(self.metrics.registry.collect())
 
@@ -1120,10 +1126,16 @@ class ValidationServer:
             except ReproError as error:
                 settled.append((item, OpError("unknown-function", str(error))))
                 continue
+            except Exception as error:  # a bug: fail this publication, not its batch
+                settled.append((item, error))
+                continue
             admitted.append((item, clean))
         if not admitted:
             return
-        verdict = entry.runtime.current_verdict()
+        # A publication that was not clean left its peer dirty, so only an
+        # all-clean segment can take its verdict from the cached acks.
+        clean_segment = all(clean for _item, clean in admitted)
+        verdict = entry.runtime.current_verdict() if clean_segment else None
         parse_failures: frozenset[str] = frozenset()
         validated = 0
         if verdict is None:

@@ -23,20 +23,17 @@ The distributed runtime (:meth:`ValidationRuntime.publish_stream`), the
 network service (the ``publish_stream_*`` operations) and the public
 facade (:meth:`repro.api.DesignSession.stream_validate`) all ride on these
 two modules.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.streaming.events import iter_chunks
-from repro.streaming.machine import (
-    StreamingRun,
-    StreamingValidator,
-    streaming_validator_for,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": ("iter_chunks",),
+        "machine": ("StreamingRun", "StreamingValidator", "streaming_validator_for"),
+    },
 )
-
-__all__ = [
-    "StreamingRun",
-    "StreamingValidator",
-    "iter_chunks",
-    "streaming_validator_for",
-]

@@ -13,26 +13,24 @@ trees with labels over an alphabet of element names.  The package provides
   unranked tree automata (nUTA / dUTA) with membership, emptiness, inclusion
   and equivalence decided by joint reachable-subset construction over the
   validators' label states.
+
+The names below are re-exported lazily (:func:`repro.lazy_exports`): each
+submodule is imported when one of its names is first read.
 """
 
-from repro.trees.document import Tree
-from repro.trees.term import parse_term, format_term
-from repro.trees.xml_io import tree_from_xml, tree_to_xml
-from repro.trees.automata import (
-    UnrankedTreeAutomaton,
-    tree_language_equivalent,
-    tree_language_includes,
-    tree_language_is_empty,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Tree",
-    "parse_term",
-    "format_term",
-    "tree_from_xml",
-    "tree_to_xml",
-    "UnrankedTreeAutomaton",
-    "tree_language_equivalent",
-    "tree_language_includes",
-    "tree_language_is_empty",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "document": ("Tree",),
+        "term": ("parse_term", "format_term"),
+        "xml_io": ("tree_from_xml", "tree_to_xml"),
+        "automata": (
+            "UnrankedTreeAutomaton",
+            "tree_language_equivalent",
+            "tree_language_includes",
+            "tree_language_is_empty",
+        ),
+    },
+)

@@ -10,7 +10,6 @@ no third-party XML dependency is required.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.dom import minidom
 
 from repro.errors import InvalidXMLError
 from repro.trees.document import Tree
@@ -38,6 +37,8 @@ def tree_to_xml(tree: Tree, pretty: bool = False) -> str:
     raw = ET.tostring(tree_to_element(tree), encoding="unicode")
     if not pretty:
         return raw
+    from xml.dom import minidom
+
     parsed = minidom.parseString(raw)
     pretty_text = parsed.toprettyxml(indent="  ")
     # Drop the XML declaration and blank lines added by minidom.

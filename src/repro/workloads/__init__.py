@@ -6,8 +6,17 @@
 * :mod:`repro.workloads.synthetic` -- parameterised families of kernels,
   types and designs used by the table benchmarks to exhibit the growth
   behaviours of Tables 2 and 3.
+
+The two submodules are imported lazily (:func:`repro.lazy_exports`), when
+first read.
 """
 
-from repro.workloads import eurostat, synthetic
+from repro import lazy_exports
 
-__all__ = ["eurostat", "synthetic"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "eurostat": ("eurostat",),
+        "synthetic": ("synthetic",),
+    },
+)

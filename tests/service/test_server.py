@@ -377,6 +377,62 @@ class TestPublish:
         assert isinstance(bad, ServiceError) and bad.code == "invalid-xml"
         assert good["valid"] is True and good["peer_valid"] is True
 
+    def test_an_unexpected_ingest_error_fails_only_its_own_publication(
+        self, workload, monkeypatch
+    ):
+        # Three pipelined publications land in one micro-batch; the ingest
+        # of f2 raises an exception no handler expects.  Its neighbours are
+        # answered as usual, and the event ring names the exception.
+        server = ValidationServer(batch_window=0.05)
+        server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
+        runtime = server.design("d").runtime
+        publish = runtime.publish
+
+        def failing_publish(function, payload, trace_id=None):
+            if function == "f2":
+                raise RuntimeError("ingest failed")
+            return publish(function, payload, trace_id=trace_id)
+
+        monkeypatch.setattr(runtime, "publish", failing_publish)
+        with ServiceHandle(server).start() as handle:
+
+            async def drive():
+                client = await AsyncServiceClient.connect(handle.host, handle.port)
+                try:
+                    return await asyncio.gather(
+                        client.publish("d", "f1", payload_of(workload, "f1")),
+                        client.publish("d", "f2", payload_of(workload, "f2")),
+                        client.publish("d", "f3", payload_of(workload, "f3")),
+                        return_exceptions=True,
+                    )
+                finally:
+                    await client.close()
+
+            first, bad, last = asyncio.run(drive())
+        assert isinstance(bad, ServiceError) and bad.code == "internal-error"
+        assert "RuntimeError" in bad.message
+        assert isinstance(first, dict) and first["peer_valid"] is True
+        assert isinstance(last, dict) and last["peer_valid"] is True
+        errors = [event for event in server.logger.export() if event["name"] == "op.error"]
+        assert [event.get("exception") for event in errors] == ["RuntimeError"]
+
+    def test_a_dirty_segment_makes_one_pass_over_the_peers(self, workload, monkeypatch):
+        server = ValidationServer()
+        server.preload_design("d", workload.kernel, workload.typing, workload.initial_documents)
+        runtime = server.design("d").runtime
+        dirty_peers = runtime.dirty_peers
+        passes = []
+        monkeypatch.setattr(runtime, "dirty_peers", lambda: passes.append(1) or dirty_peers())
+        payload = payload_of(workload, "f1")
+        with ServiceHandle(server).start() as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                assert client.publish("d", "f1", payload)["clean"] is False
+                assert len(passes) == 1
+                # A clean segment reads the verdict off the cached acks.
+                result = client.publish("d", "f1", payload)
+                assert result["clean"] is True and result["peers_validated"] == 0
+                assert len(passes) == 2
+
 
 class TestValidateAndRevalidate:
     def test_stateless_validate(self, client, workload):
