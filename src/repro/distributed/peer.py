@@ -196,6 +196,20 @@ class ResourcePeer(Peer):
         self.document = PublicationRecord(fingerprint, ack, self.validator, size, payload)
         return fingerprint, ack
 
+    @property
+    def awaits_republish(self) -> bool:
+        """Does the peer hold a streamed publication checked against a replaced local type?
+
+        Its bytes were not retained, so the peer has no verdict under its
+        current type until it publishes again.
+        """
+        record = self.document
+        return (
+            isinstance(record, PublicationRecord)
+            and record.streamed
+            and record.validator is not self.validator
+        )
+
     def validate_locally(self) -> bool:
         """Validate the peer's own document against its local type.
 
@@ -208,15 +222,15 @@ class ResourcePeer(Peer):
             return False
         if isinstance(self.document, PublicationRecord):
             record = self.document
-            # The recorded verdict is authoritative for those bytes -- but
-            # only against the validator it was computed with.
-            if record.validator is self.validator:
-                return record.ack
-            if record.streamed:
+            if self.awaits_republish:
                 raise DesignError(
                     f"peer {self.name!r} holds a streamed publication validated against a "
                     "replaced local type; the payload was not retained, re-publish it"
                 )
+            # The recorded verdict is authoritative for those bytes -- but
+            # only against the validator it was computed with.
+            if record.validator is self.validator:
+                return record.ack
             return self.validator.validate_payload(record.payload)
         if self.validator is not None:
             return self.validator.validate(self.document)

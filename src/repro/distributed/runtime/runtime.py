@@ -49,11 +49,13 @@
   one parser slice and the verdict settles at ingest time (no validation
   round).  The peer's
   :class:`~repro.distributed.peer.PublicationRecord` keeps no bytes, so
-  after a typing change a streamed publication must be re-published.
-  Streamed and whole-frame publications dedupe against each other
-  because both address the same payload bytes.  A publication given as
-  ``str`` is parsed as the characters it is, whatever encoding it
-  declares, and addressed by its UTF-8 encoding.
+  after a typing change a streamed publication must be re-published:
+  until then its peer settles as *unknown* (no ack, named in the round's
+  ``RuntimeReport.unknown``, global verdict ``None``), and every other
+  peer settles as usual.  Streamed and whole-frame publications dedupe
+  against each other because both address the same payload bytes.  A
+  publication given as ``str`` is parsed as the characters it is,
+  whatever encoding it declares, and addressed by its UTF-8 encoding.
 * **Malformed publications** -- a latest publication that does not parse
   is an invalid one: the peer keeps its previous document, but its ack
   stays ``False`` and its fingerprint stays the malformed bytes' under
@@ -154,7 +156,10 @@ class RuntimeStats:
 
 @dataclass(frozen=True)
 class RuntimeReport(ValidationReport):
-    """A :class:`ValidationReport` plus the runtime's incremental accounting."""
+    """A :class:`ValidationReport` plus the runtime's incremental accounting.
+
+    ``valid`` is ``None`` while some peer is ``unknown``.
+    """
 
     peers_validated: int = 0
     peers_skipped: int = 0
@@ -164,6 +169,10 @@ class RuntimeReport(ValidationReport):
     #: the verdict accounting is unchanged (a malformed publication is an
     #: invalid publication, ack ``False``).
     parse_failures: tuple[str, ...] = ()
+    #: Functions with no verdict under the current typing: their latest
+    #: publication was streamed before a typing change, and its bytes were
+    #: not retained.  They hold no ack until they publish again.
+    unknown: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -670,7 +679,9 @@ class ValidationRuntime:
         its cached ack is still good (what the first round does anyway).
         Each shard task settles its peers in place, so a round that raises
         keeps what it settled and leaves the rest of the queued
-        publications queued for the next round.
+        publications queued for the next round.  A peer whose streamed
+        publication predates the typing settles as unknown: the report
+        names it in ``unknown`` and its ``valid`` is ``None``.
         """
         with self._state_lock:
             return self._validate_locally_locked(typing, force)
@@ -691,6 +702,7 @@ class ValidationRuntime:
             if any(function in attention for function in self.shard_map.members(shard))
         ]
         parse_failures: list[str] = []
+        unknown: list[str] = []
 
         def run_shard(shard: int) -> None:
             shard_started = time.perf_counter()
@@ -741,7 +753,12 @@ class ValidationRuntime:
                         self._fp_document[function] = peer.document
                         self._malformed_latest.discard(function)
                         self.stats.fingerprints_computed += 1
-                    if force or not self._clean(function, fingerprint):
+                    if peer.awaits_republish:
+                        # Nothing to re-check under the new type: the peer
+                        # stays dirty, with no ack, until it publishes again.
+                        self._acks.pop(function, None)
+                        unknown.append(function)
+                    elif force or not self._clean(function, fingerprint):
                         ack = peer.validate_locally()
                         self._record(function, fingerprint, ack, peer.validator, False)
             if self.logger is not None and traced:
@@ -756,7 +773,7 @@ class ValidationRuntime:
 
         self.scheduler.map_shards(run_shard, pending_shards)
         validated = self.stats.validations_run - validations_before
-        skipped = len(self.document.resources) - validated
+        skipped = len(self.document.resources) - validated - len(unknown)
         after_messages, after_bytes = self.network.snapshot()
         elapsed = time.perf_counter() - started
         self.stats.rounds += 1
@@ -764,7 +781,7 @@ class ValidationRuntime:
         self.stats.wall_seconds += elapsed
         return RuntimeReport(
             strategy="local-parallel",
-            valid=all(self._acks[function] for function in self.document.resources),
+            valid=None if unknown else all(self._acks[function] for function in self.document.resources),
             messages=after_messages - before_messages,
             bytes_shipped=after_bytes - before_bytes,
             guarantee=LOCAL_GUARANTEE,
@@ -772,6 +789,7 @@ class ValidationRuntime:
             peers_skipped=skipped,
             wall_seconds=elapsed,
             parse_failures=tuple(sorted(parse_failures)),
+            unknown=tuple(sorted(unknown)),
         )
 
     # ------------------------------------------------------------------ #

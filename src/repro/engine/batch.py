@@ -17,12 +17,14 @@ to right by every such rule's horizontal automaton at once; a
 :class:`LabelState` is that tuple of per-rule current state sets, i.e. one
 state of ``l``'s horizontal automata determinized together.  States are
 built lazily -- the subset construction runs only for the child masks
-documents actually contain -- interned per schema, and each carries its
-close mask (the states assignable if the element ended here) and a dict
-of memoized successors keyed by child mask.  After warm-up a child costs
-one dict probe, whichever driver steps the states: the Tree fold
-(:meth:`CompiledSchema.accepts`), the element fold over the C parser's
-output (:meth:`CompiledSchema.accepts_element`), the incremental
+documents actually contain -- interned in the label's :class:`LabelTable`,
+and each carries its close mask (the states assignable if the element
+ended here) and a dict of memoized successors keyed by child mask.  The
+schemas compiled on one engine share one table per distinct label rule
+set, so the peers of a typing warm their shared rules once.  After
+warm-up a child costs one dict probe, whichever driver steps the states:
+the Tree fold (:meth:`CompiledSchema.accepts`), the element fold over
+the C parser's output (:meth:`CompiledSchema.accepts_element`), the incremental
 element fold of :class:`~repro.streaming.machine.StreamingRun`, which
 folds and prunes the C parser's output slice by slice, or the
 tree-language search of :mod:`repro.trees.automata` (emptiness,
@@ -59,6 +61,10 @@ _DOCUMENT_MEMO_CAPACITY = 512
 #: is the hot path, one dict probe).
 LABEL_DFA_KIND = "label-dfa"
 
+#: Engine memo kind of the :class:`LabelTable` of one label rule set:
+#: ``misses`` counts the tables built.
+LABEL_TABLE_KIND = "label-table"
+
 
 def parse_payload(payload: Union[bytes, str]) -> ET.Element:
     """One pass of the C parser over a serialised document: its root element.
@@ -94,6 +100,44 @@ class LabelState:
         self.next: dict = {}
 
 
+class LabelTable:
+    """The label automata of one label's rules: the rules, the initial state, the states reached.
+
+    ``rules`` holds one ``(state_bit, CompactNFA, rows)`` entry per rule
+    ``(state, label)``; ``rows`` maps each state bit of the schema to the
+    rule's delta row, or to None if the rule never reads that state.
+    ``states`` interns every state a step reached, keyed by its
+    ``currents``.  Everything a step reads is in the table, so schemas
+    whose rules for the label are equal -- same state bits, same automata
+    reading the same symbol bits, same number of states -- share one
+    table: a state one of them computed is warm for all.
+    """
+
+    __slots__ = ("label", "rules", "initial", "states")
+
+    def __init__(self, label: str, entries: list, width: int) -> None:
+        """``entries``: ``(state_index, CompactNFA, symbol_indices)`` per rule, over ``width`` states."""
+        self.label = label
+        rules = []
+        for index, compiled, symbol_indices in entries:
+            rows: list = [None] * width
+            for symbol_index, row in zip(symbol_indices, compiled.delta):
+                rows[symbol_index] = row
+            rules.append((1 << index, compiled, tuple(rows)))
+        self.rules = tuple(rules)
+        currents = tuple(nfa.initial_mask for _bit, nfa, _rows in rules)
+        #: Fixed for the table's lifetime; evictions only clear its successors.
+        self.initial = LabelState(label, currents, self.close_mask(currents))
+        self.states: dict[tuple, LabelState] = {}
+
+    def close_mask(self, currents: tuple) -> int:
+        mask = 0
+        for (state_bit, nfa, _rows), current in zip(self.rules, currents):
+            if current & nfa.finals_closed:
+                mask |= state_bit
+        return mask
+
+
 class CompiledSchema:
     """A schema compiled for repeated membership tests.
 
@@ -108,18 +152,26 @@ class CompiledSchema:
         symbols and is keyed by its content alone, so equal rules compile
         once across all the schemas compiled on one engine -- whatever
         their state orders -- and each schema only maps its state bits to
-        the shared rule's rows.
+        the shared rule's rows.  The label automata are shared the same
+        way: schemas on one engine take one :class:`LabelTable` per
+        distinct label rule set from the engine's memo (kind
+        ``label-table``), keyed by the label, the schema's state count and,
+        per rule, its state bit, its automaton's fingerprint and the bit of
+        each symbol it reads -- everything a step reads.
 
     The label automata are shared, without locks, by every thread that
-    validates against this schema (the event-loop threads of the servers
-    in one process).  Their tables are filled with single dict operations,
-    which the GIL makes atomic, and are bounded: at most :attr:`state_capacity`
-    interned states and :attr:`transition_capacity` successors per state.
-    A full table is dropped and refilled on demand, counted as an eviction
-    under the ``label-dfa`` kind of ``engine_stats``.
+    validates against a schema sharing them (the event-loop threads of the
+    servers in one process).  Their tables are filled with single dict
+    operations, which the GIL makes atomic, and are bounded: at most
+    :attr:`state_capacity` interned states per label table and
+    :attr:`transition_capacity` successors per state, each checked by the
+    schema whose step adds the entry, so a table shared by schemas with
+    different caps stays within the largest of them.  A full table is
+    dropped and refilled on demand, counted as an eviction under the
+    ``label-dfa`` kind of ``engine_stats``.
     """
 
-    #: Bound on the interned (non-initial) label states of one schema.
+    #: Bound on the interned (non-initial) states of one label table.
     state_capacity = 4096
     #: Bound on the memoized successors of one label state.
     transition_capacity = 256
@@ -148,42 +200,38 @@ class CompiledSchema:
         # Rules grouped by label: at a node labelled `l` only the (state, l)
         # horizontal automata can fire.  A rule compiles over the symbols it
         # reads, keyed by its content alone, so equal rules of schemas with
-        # different state orders share it; ``rows`` maps each state bit of
-        # this schema to the rule's delta row, or to None if it never reads it.
+        # different state orders share it.
         rules: dict[str, list] = {}
+        keys: dict[str, list] = {}
         for (state, label), nfa in uta.horizontal.items():
+            fingerprint = self.engine.fingerprint(nfa)
             compiled = self.engine.memo(
-                "compact-horizontal",
-                (self.engine.fingerprint(nfa),),
-                lambda nfa=nfa: CompactNFA(nfa),
+                "compact-horizontal", (fingerprint,), lambda nfa=nfa: CompactNFA(nfa)
             )
-            rows: list = [None] * len(index_of)
-            for symbol, row in zip(compiled.symbols, compiled.delta):
-                rows[index_of[symbol]] = row
-            rules.setdefault(label, []).append((1 << index_of[state], compiled, tuple(rows)))
-        #: label -> ``((state_bit, CompactNFA, rows), ...)``, one entry per rule.
-        self._rules: dict[str, tuple] = {label: tuple(entries) for label, entries in rules.items()}
-        #: label -> its initial state.  Fixed for the schema's lifetime;
-        #: evictions only clear their successors.
-        self._initial: dict[str, LabelState] = {}
-        for label, entries in self._rules.items():
-            currents = tuple(nfa.initial_mask for _bit, nfa, _rows in entries)
-            self._initial[label] = LabelState(label, currents, self._close_mask(label, currents))
-        #: ``(label, currents) -> LabelState`` for every state a step reached.
-        self._states: dict[tuple, LabelState] = {}
+            symbol_indices = tuple(index_of[symbol] for symbol in compiled.symbols)
+            rules.setdefault(label, []).append((index_of[state], compiled, symbol_indices))
+            keys.setdefault(label, []).append((index_of[state], fingerprint, symbol_indices))
+        width = len(index_of)
+        #: label -> its :class:`LabelTable`, shared with every schema on the
+        #: engine whose rules for the label are equal.
+        self._tables: dict[str, LabelTable] = {
+            label: self.engine.memo(
+                LABEL_TABLE_KIND,
+                (label, width, tuple(keys[label])),
+                lambda label=label, entries=entries: LabelTable(label, entries, width),
+            )
+            for label, entries in rules.items()
+        }
+        #: label -> its initial state.
+        self._initial: dict[str, LabelState] = {
+            label: table.initial for label, table in self._tables.items()
+        }
         self._dfa_stats = self.engine.stats.kind_counters(LABEL_DFA_KIND)
         self._document_memo: OrderedDict[int, tuple[Tree, int]] = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # the label automata
     # ------------------------------------------------------------------ #
-
-    def _close_mask(self, label: str, currents: tuple) -> int:
-        mask = 0
-        for (state_bit, nfa, _rows), current in zip(self._rules[label], currents):
-            if current & nfa.finals_closed:
-                mask |= state_bit
-        return mask
 
     def _step(self, state: LabelState, child_mask: int):
         """The successor of ``state`` on a child's mask: a miss, computed and memoized.
@@ -194,9 +242,10 @@ class CompiledSchema:
         moves nothing.  Returns the interned successor, or ``0`` when every
         rule died (a zero ``child_mask`` always does).
         """
+        table = self._tables[state.label]
         currents = []
         alive = 0
-        for (_state_bit, _nfa, rows), current in zip(self._rules[state.label], state.currents):
+        for (_state_bit, _nfa, rows), current in zip(table.rules, state.currents):
             moved = 0
             if current:
                 symbols_left = child_mask
@@ -212,7 +261,7 @@ class CompiledSchema:
                     symbols_left ^= low
             currents.append(moved)
             alive |= moved
-        successor = self._intern(state.label, tuple(currents)) if alive else 0
+        successor = self._intern(table, tuple(currents)) if alive else 0
         transitions = state.next
         if len(transitions) >= self.transition_capacity:
             transitions.clear()
@@ -221,26 +270,25 @@ class CompiledSchema:
         self._dfa_stats.misses += 1
         return successor
 
-    def _intern(self, label: str, currents: tuple) -> LabelState:
-        key = (label, currents)
-        state = self._states.get(key)
+    def _intern(self, table: LabelTable, currents: tuple) -> LabelState:
+        states = table.states
+        state = states.get(currents)
         if state is not None:
             return state
-        if len(self._states) >= self.state_capacity:
-            # Drop the whole graph: the interned states, and the initial
-            # states' edges into it.  Runs in flight keep the states they
+        if len(states) >= self.state_capacity:
+            # Drop the table's graph: its interned states, and its initial
+            # state's edges into them.  Runs in flight keep the states they
             # hold (each is still correct) and step on into the new table;
             # a step racing this drop may re-link one old state, which the
             # next drop detaches again.
-            self._states.clear()
-            for initial in self._initial.values():
-                initial.next.clear()
+            states.clear()
+            table.initial.next.clear()
             self._dfa_stats.evictions += 1
         # Two threads may build the same state at once; setdefault keeps
         # one, and an eviction in between can leave two equal states alive.
         # Either is harmless: equal states give equal verdicts.
-        return self._states.setdefault(
-            key, LabelState(label, currents, self._close_mask(label, currents))
+        return states.setdefault(
+            currents, LabelState(table.label, currents, table.close_mask(currents))
         )
 
     # ------------------------------------------------------------------ #

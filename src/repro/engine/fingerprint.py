@@ -21,6 +21,7 @@ nodes and peers.
 from __future__ import annotations
 
 import hashlib
+import struct
 import xml.etree.ElementTree as ET
 from collections import deque
 from collections.abc import Iterable
@@ -131,14 +132,16 @@ def tree_fingerprint(tree: Union[Tree, ET.Element]) -> str:
     runtime can content-address a registration document without building
     that tree.
 
-    The canonical serialisation is ``arities ; label-lengths \\x01 labels``
-    over the preorder traversal: the preorder arity sequence determines the
-    shape, the length sequence splits the concatenated labels unambiguously
-    (whatever characters they contain), and the metadata prefix is pure
-    digits/punctuation so the first ``\\x01`` is always the delimiter.  It
-    sits on the runtime's per-round hot path, so everything is built with
-    bulk string operations and hashed in one call; both traversals are
-    iterative because documents can be deeper than the recursion limit.
+    The hashed input is the element count ``n``, then the preorder arity
+    sequence and the preorder label-length sequence as ``2n`` integers,
+    each packed as 8 little-endian bytes, then the UTF-8 bytes of the
+    labels joined in preorder.  It is injective: ``n`` fixes where the two
+    integer sequences end and the labels begin, the arity sequence
+    determines the shape, and the lengths (in characters) split the
+    decoded text into the labels, whatever characters they contain.
+    Packing skips the decimal text an integer would otherwise be rendered
+    as.  Both traversals are iterative because documents can be deeper
+    than the recursion limit.
     """
     if isinstance(tree, Tree):
         labels: list[str] = []
@@ -158,13 +161,11 @@ def tree_fingerprint(tree: Union[Tree, ET.Element]) -> str:
         # Element.iter() walks in document (pre)order with its own stack.
         elements = list(tree.iter())
         labels = list(map(_tag_of, elements))
-        arities = list(map(len, elements))
-    blob = "%s;%s\x01%s" % (
-        ",".join(map(str, arities)),
-        ",".join(map(str, map(len, labels))),
-        "".join(labels),
-    )
-    return hashlib.sha256(b"tree\x00" + blob.encode("utf-8")).hexdigest()[:_DIGEST_LENGTH]
+        arities = map(len, elements)
+    count = len(labels)
+    packed = struct.pack("<%dQ" % (2 * count + 1), count, *arities, *map(len, labels))
+    digest = hashlib.sha256(b"tree\x00" + packed + "".join(labels).encode("utf-8"))
+    return digest.hexdigest()[:_DIGEST_LENGTH]
 
 
 def payload_fingerprint(payload: str | bytes) -> str:

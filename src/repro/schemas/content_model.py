@@ -169,8 +169,23 @@ class ContentModel:
         return f"ContentModel({shown!r}, {self.formalism.value})"
 
     def __str__(self) -> str:
+        """The source text, or a rendering of the automaton (memoized by its content).
+
+        An automaton-built model (a solver's output) is rendered once per
+        distinct automaton on the calling thread's engine (memo kind
+        ``regex-text``): a perfect typing gives every peer the same root
+        rule, so encoding the typing renders it once.  Automata with one
+        fingerprint are equal up to state names, so a hit is an equivalent
+        expression.
+        """
         if self.source is not None:
             return self.source
+        from repro.engine.compilation import get_default_engine
+
+        engine = get_default_engine()
+        return engine.memo(REGEX_TEXT_KIND, (engine.fingerprint(self.nfa),), self._render)
+
+    def _render(self) -> str:
         from repro.automata.to_regex import nfa_to_regex_text
 
         rendered = nfa_to_regex_text(self.nfa, max_size=400)
@@ -183,6 +198,9 @@ class ContentModel:
 
 #: Engine memo kind of :func:`content_model` for rule text.
 CONTENT_MODEL_KIND = "content-model"
+
+#: Engine memo kind of the text :meth:`ContentModel.__str__` renders for an automaton.
+REGEX_TEXT_KIND = "regex-text"
 
 
 def content_model(

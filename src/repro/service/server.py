@@ -135,6 +135,11 @@ class RegisteredDesign:
     #: shard index -> number of wire streams currently holding a slot.
     #: Mutated only from the event loop thread, like the registry itself.
     open_streams_by_shard: dict = field(default_factory=dict)
+    #: Milliseconds :meth:`ValidationServer.build_design` spent building the
+    #: runtime and compiling the typing, then seeding and checking every
+    #: document (the ``design.register`` event's stages).
+    compile_ms: float = 0.0
+    seed_ms: float = 0.0
 
     def describe(self) -> dict:
         return {
@@ -589,19 +594,25 @@ class ValidationServer:
         text -- no ``Tree`` is built.  A text that is not XML raises
         :class:`~repro.errors.InvalidXMLError`.
         """
+        started = time.perf_counter()
         texts = {f: text for f, text in documents.items() if isinstance(text, str)}
         document = DistributedDocument(
             kernel, {f: None if f in texts else tree for f, tree in documents.items()}
         )
         runtime = ValidationRuntime(document, shards=self.runtime_shards, logger=self.logger)
         runtime.propagate_typing(typing)
+        compiled = time.perf_counter()
         for function in document.resources:
             if function in texts:
                 runtime.seed(function, texts[function])
         report = runtime.validate_locally()
         if report.parse_failures:
             raise InvalidXMLError(f"initial document for {report.parse_failures[0]!r} is not XML")
-        return RegisteredDesign(design_id, document, runtime)
+        return RegisteredDesign(
+            design_id, document, runtime,
+            compile_ms=round(1000.0 * (compiled - started), 3),
+            seed_ms=round(1000.0 * (time.perf_counter() - compiled), 3),
+        )
 
     def install_design(self, entry: RegisteredDesign) -> RegisteredDesign:
         """Put a built design into the registry, replacing any predecessor.
@@ -976,7 +987,10 @@ class ValidationServer:
         seeds each peer from its text (a ``replace`` is the paper's typing
         change -- every peer re-checks its document against its new local
         type), so registration builds no ``Tree``.  A document that is
-        not XML answers ``invalid-xml``.
+        not XML answers ``invalid-xml``.  The ``design.register`` event
+        times the stages: ``schemas_ms`` parses the kernel and the local
+        types, ``compile_ms`` compiles them, ``seed_ms`` checks every
+        document.
         """
         design_id = body["design"]
         if not isinstance(design_id, str) or not design_id:
@@ -993,6 +1007,7 @@ class ValidationServer:
             raise OpError("bad-request", "'documents' must map functions to XML text")
         with self._runtime_busy():
             try:
+                started = time.perf_counter()
                 kernel = KernelTree(parse_term(body["kernel"]))
                 types = {}
                 for function, schema in schemas.items():
@@ -1002,6 +1017,7 @@ class ValidationServer:
                         )
                     else:
                         types[function] = parse_dtd_text(schema)
+                schemas_ms = round(1000.0 * (time.perf_counter() - started), 3)
                 entry = self.build_design(design_id, kernel, TreeTyping(types), documents)
             except InvalidXMLError as error:
                 raise OpError("invalid-xml", str(error)) from None
@@ -1012,6 +1028,7 @@ class ValidationServer:
             "design.register",
             trace_id=body.get("trace") if isinstance(body.get("trace"), str) else None,
             design=design_id, functions=len(documents),
+            schemas_ms=schemas_ms, compile_ms=entry.compile_ms, seed_ms=entry.seed_ms,
         )
         verdict = entry.runtime.current_verdict()
         return {**entry.describe(), "valid": verdict}

@@ -588,8 +588,8 @@ class TestMalformedLatestPublication:
             assert runtime.peer_acks()["f1"] is False
             runtime.publish_stream("f1", tree_to_xml(workload.initial_documents["f1"]))
             runtime.propagate_typing(workload.typing)
-            with pytest.raises(DesignError, match="re-publish"):
-                runtime.validate_locally()
+            report = runtime.validate_locally()
+            assert report.unknown == ("f1",) and report.valid is None
 
     def test_a_republication_of_the_same_bytes_stays_malformed(self):
         workload = build_workload()

@@ -109,14 +109,44 @@ class TestPublishStream:
         assert again.clean and again.valid is False
 
     def test_streamed_peer_poisoned_by_typing_change(self, workload, runtime):
+        """A streamed peer has no verdict under a new typing: it settles as unknown."""
         function = next(iter(workload.initial_documents))
         runtime.publish_stream(function, payload_of(workload, function))
         runtime.propagate_typing(workload.typing)
+        report = runtime.validate_locally()
+        assert report.unknown == (function,)
+        assert report.valid is None and runtime.current_verdict() is None
+        assert set(runtime.peer_acks()) == set(workload.initial_documents) - {function}
         with pytest.raises(DesignError, match="re-publish"):
-            runtime.validate_locally()
+            runtime.document.resources[function].validate_locally()
         # Re-publishing heals the peer.
         report = runtime.publish_stream(function, payload_of(workload, function))
         assert report.valid is True
+        assert runtime.validate_locally().unknown == ()
+        assert runtime.current_verdict() is True
+
+    def test_a_streamed_peer_never_stalls_the_round_after_a_typing_change(self, workload):
+        """Two shards (f1, f3 | f2, f4): stream to f1, retype, publish to f4."""
+        document = DistributedDocument(workload.kernel, dict(workload.initial_documents))
+        with ValidationRuntime(document, shards=2) as runtime:
+            runtime.propagate_typing(workload.typing)
+            assert runtime.shard_map.members(0) == ("f1", "f3")
+            runtime.publish_stream("f1", payload_of(workload, "f1"))
+            runtime.propagate_typing(workload.typing)
+            assert runtime.publish("f4", payload_of(workload, "f4")) is False
+            for _round in range(2):
+                report = runtime.validate_locally()
+                assert report.unknown == ("f1",)
+                assert report.valid is None
+                assert runtime.peer_acks() == {"f2": True, "f3": True, "f4": True}
+                assert runtime.dirty_peers() == ("f1",)
+                assert runtime.export_state()["pending"] == []
+                assert runtime.current_verdict() is None
+            assert report.peers_validated == 0 and report.peers_skipped == 3
+            runtime.publish("f1", payload_of(workload, "f1"))
+            report = runtime.validate_locally()
+            assert (report.unknown, report.valid) == ((), True)
+            assert runtime.current_verdict() is True
 
     def test_unknown_function_raises(self, runtime):
         with pytest.raises(DesignError):

@@ -42,8 +42,9 @@ from repro.api import dtd, edtd, kernel, sdtd
 from repro.automata.kernel.compact import iter_bits
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
-from repro.engine import BatchValidator, CompilationEngine, CompiledSchema
-from repro.engine.batch import LABEL_DFA_KIND
+from repro.automata.regex import Epsilon
+from repro.engine import BatchValidator, CompilationEngine, CompiledSchema, use_engine
+from repro.engine.batch import LABEL_DFA_KIND, parse_payload
 from repro.errors import InvalidXMLError, NotSingleTypeError, SchemaError
 from repro.schemas.edtd import EDTD, normalize
 from repro.streaming import StreamingValidator, iter_chunks
@@ -442,11 +443,101 @@ class TestSchemasSharingOneEngine:
                 each.state_capacity = each.transition_capacity = capacity
         assert len({each._state_order for each in compiled[: len(ROOTS)]}) == len(ROOTS)
         for label in properties.ALPHABET:  # one compiled automaton per equal rule
-            assert len({id(each._rules[label][0][1]) for each in compiled[: len(ROOTS)]}) == 1
+            assert len({id(each._tables[label].rules[0][1]) for each in compiled[: len(ROOTS)]}) == 1
         candidates = [Tree(root, tuple(forest)) for forest in forests for root in ROOTS]
         for tree in candidates + documents:
             for schema, each in zip(schemas, compiled):
                 assert_all_drivers_agree(schema, tree, rng, each)
+
+
+#: Labels of the trees run against sharers: the rule names, ``w1``/``w2``
+#: (which widen a schema without moving the rule names' bits), ``_r``
+#: (which moves them) and ``z``, unknown to every schema.
+SHARER_LABELS = ("a", "b", "c", "w1", "w2", "_r", "z")
+
+sharer_trees = st.recursive(
+    st.sampled_from(SHARER_LABELS).map(Tree.leaf),
+    lambda children: st.builds(
+        Tree, st.sampled_from(SHARER_LABELS), st.lists(children, max_size=4).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def sharers(draw):
+    """DTDs with equal ``a``/``b``/``c`` rules, some sharing label tables, and trees.
+
+    In order: a 3-state schema; a 5-state one whose leaf ``w1`` gives the
+    rule names' children a bit the narrow rows lack; its twin, which
+    shares every table; a 5-state one differing only in ``w2``'s rule; and
+    one whose root ``_r`` sorts first, so every rule sits one bit higher.
+    The narrow schema compiles first, so a table keyed without its width
+    would hand the wide ones rows too short for ``w1``.
+    """
+    rules = {symbol: draw(properties.regexes) for symbol in properties.ALPHABET}
+    start = draw(st.sampled_from(properties.ALPHABET))
+    wide = {**rules, "w1": Epsilon(), "w2": draw(properties.regexes)}
+    schemas = [
+        dtd(start, rules),
+        dtd(start, wide),
+        dtd(start, dict(wide)),
+        dtd(start, {**wide, "w2": draw(properties.regexes)}),
+        dtd("_r", {"_r": draw(properties.regexes), **rules}),
+    ]
+    documents = draw(st.lists(sharer_trees, min_size=1, max_size=6))
+    documents += [Tree(start, tree.children) for tree in documents]
+    return schemas, documents
+
+
+def driver_outcomes(compiled: CompiledSchema, tree: Tree, chunks: list) -> tuple:
+    """Every fold driver's mask or verdict, and the stream run's counters."""
+    payload = b"".join(chunks)
+    run = StreamingValidator(compiled).run()
+    for chunk in chunks:
+        run.feed(chunk)
+    verdict = run.finish()
+    return (
+        compiled._possible_mask(tree),
+        compiled.accepts(tree),
+        compiled._element_mask(parse_payload(payload)),
+        compiled.accepts_payload(payload),
+        (verdict, run.root_mask, run.rejected_at, run.events, run.max_depth),
+    )
+
+
+class TestSharedLabelTables:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(sharers(), st.randoms(use_true_random=False))
+    def test_sharers_equal_unshared_schemas_on_every_driver(self, case, rng):
+        schemas, documents = case
+        engine = CompilationEngine()
+        shared = [CompiledSchema(schema, engine) for schema in schemas]
+        narrow, wide, twin, other, shifted = shared
+        # The twin shares every table with ``wide`` but evicts on nearly every step.
+        twin.state_capacity = twin.transition_capacity = 1
+        for label in properties.ALPHABET:
+            assert wide._tables[label] is twin._tables[label] is other._tables[label]
+            assert narrow._tables[label] is not wide._tables[label]
+            assert shifted._tables[label] not in (narrow._tables[label], wide._tables[label])
+        unshared = [CompiledSchema(schema, CompilationEngine()) for schema in schemas]
+        for tree in documents:
+            chunks = split(tree_to_xml(tree).encode("utf-8"), rng)
+            for mine, alone in zip(shared, unshared):
+                assert driver_outcomes(mine, tree, chunks) == driver_outcomes(alone, tree, chunks)
+        # The search: both schemas' label states stepped on one engine.
+        pairs = [(schemas[0], schemas[1]), (schemas[1], schemas[3]), (schemas[0], schemas[4])]
+        for left, right in pairs:
+            automata = [left.to_uta(), right.to_uta()]
+            with use_engine(engine):
+                together = joint_reachable_profiles(automata)
+            with use_engine(CompilationEngine()):
+                apart = joint_reachable_profiles(automata)
+            assert together.keys() == apart.keys()
 
 
 # --------------------------------------------------------------------- #
@@ -550,19 +641,22 @@ def _pool(kind: str, count: int):
 
 
 def _table_sizes(compiled: CompiledSchema):
-    """``(interned states, most successors of one state)``, after checking that
-    every state reachable from the initial states is interned or initial --
-    so the tables bound everything the schema keeps alive."""
-    states = list(compiled._states.values()) + list(compiled._initial.values())
+    """``(most interned states of one label table, most successors of one state)``,
+    after checking that every state reachable from the initial states is
+    interned or initial -- so the tables bound everything the schema keeps
+    alive."""
+    tables = list(compiled._tables.values())
+    states = [state for table in tables for state in table.states.values()]
+    states += [table.initial for table in tables]
     known = {id(state) for state in states}
-    todo, seen = list(compiled._initial.values()), set()
+    todo, seen = [table.initial for table in tables], set()
     while todo:
         state = todo.pop()
         if id(state) not in seen:
             seen.add(id(state))
             assert id(state) in known
             todo.extend(successor for successor in state.next.values() if successor)
-    return len(compiled._states), max(len(state.next) for state in states)
+    return max(len(table.states) for table in tables), max(len(state.next) for state in states)
 
 
 class TestTableBounds:

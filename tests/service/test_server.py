@@ -17,10 +17,12 @@ from repro.core.kernel import KernelTree
 from repro.core.typing import TreeTyping, default_root_name
 from repro.distributed.network import DistributedDocument
 from repro.distributed.runtime import ValidationRuntime
+from repro.engine.compilation import CompilationEngine, use_engine
+from repro.schemas.content_model import REGEX_TEXT_KIND
 from repro.schemas.dtd import DTD
 from repro.schemas.dtd_text import parse_dtd_text
 from repro.service import protocol
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError, _schema_fields
 from repro.service.server import ServiceHandle, ValidationServer
 from repro.trees import xml_io
 from repro.trees.document import Tree
@@ -241,6 +243,30 @@ def register_records(client, record_rule: str, replace: bool = False) -> dict:
 
 class TestTypingCompilation:
     """Rules compile over their own symbols, so the peers of a typing share them."""
+
+    def test_a_perfect_typing_renders_its_solver_built_rule_once(self):
+        typing = record_typing(RECORD_RULES["record"])
+        with use_engine(CompilationEngine()) as engine:
+            fields = _schema_fields(typing)
+        counters = engine.stats.by_kind[REGEX_TEXT_KIND]
+        assert (counters.misses, counters.hits) == (1, len(RECORD_FUNCTIONS) - 1)
+        for function, schema in typing.items():
+            # What each peer's text reads without the memo: every rule rendered afresh.
+            expected = "\n".join(
+                f"{name} -> {model.source if model.source is not None else model._render()}"
+                for name, model in sorted(schema.rules.items())
+            )
+            assert fields[function] == {"start": schema.start, "text": expected}
+
+    def test_registration_event_times_its_stages(self, handle, client):
+        register_records(client, RECORD_RULES["record"])
+        events = handle.server.logger.export()
+        register = [event for event in events if event["name"] == "design.register"][-1]
+        op = [event for event in events if event["name"] == "op" and event["op"] == "register_design"][-1]
+        stages = [register[key] for key in ("schemas_ms", "compile_ms", "seed_ms")]
+        assert all(stage >= 0 for stage in stages)
+        # Four numbers rounded to 3 decimals each.
+        assert sum(stages) <= op["ms"] + 0.002
 
     def compact_counters(self, handle) -> tuple[int, int]:
         counters = handle.server.design("records").runtime.engine_stats()["by_kind"]
