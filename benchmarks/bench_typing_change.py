@@ -4,10 +4,11 @@ A typing change is the paper's top-down step run again: a new global type
 is propagated into one local type per peer, the client sends that typing,
 and the server compiles every local type and re-checks every peer's
 document against it.  This probe runs the change in one process over the
-design of perfbench's single-server workloads -- the flat kernel
-``s0(f1 ... fn)`` under a record DTD, each version adding a fresh element
-name, so every peer's local type is ``root_fi -> record*`` plus the record
-rules -- and prints the median of each stage over the versions:
+design of perfbench's single-server workloads, built by perfbench's own
+generator (``perfbench/inputs.py``) -- the flat kernel ``s0(f1 ... fn)``
+under a record DTD, each version adding a fresh element name, so every
+peer's local type is ``root_fi -> record*`` plus the record rules -- and
+prints the median of each stage over the versions:
 
 * ``typing_ms``: ``find_perfect_typing`` over the version's global schema;
 * ``render_ms``: the client's encoding of the typing (one
@@ -29,40 +30,35 @@ from __future__ import annotations
 
 import asyncio
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from repro.automata import to_regex
-from repro.core.design import TopDownDesign
-from repro.core.existence import find_perfect_typing
-from repro.core.kernel import KernelTree
 from repro.engine.batch import parse_payload
 from repro.engine.compilation import CompilationEngine, use_engine
 from repro.engine.fingerprint import tree_fingerprint
-from repro.schemas.dtd import DTD
 from repro.service.client import _schema_fields
 from repro.service.server import ValidationServer
-from repro.trees.term import parse_term
 
 DESIGN = "probe"
-ROOT = "s0"
 
-#: The label-table kind of the runtime engine's stats.
+#: The repository root, from which perfbench's input generator imports.
+REPO = Path(__file__).resolve().parent.parent
+
+#: The label-table kind of the runtime engine's stats, spelled out rather
+#: than imported so that the probe also runs on a tree without shared
+#: label tables (to size a change against its parent).
 LABEL_TABLE_KIND = "label-table"
 
 
-def global_rules(version: int) -> dict[str, str]:
-    """perfbench's global record DTD: odd versions lenient, even ones strict."""
-    if version % 2:
-        record = f"key?, (field | group | ext{version})*, stamp?"
-    else:
-        record = f"key, (field | group | ext{version})*, stamp"
-    return {ROOT: "record*", "record": record, "group": "(field, field) | note", "field": "value?"}
+def perfbench_inputs():
+    """perfbench's generator: the global record DTD of each version and its perfect typing."""
+    if str(REPO) not in sys.path:
+        sys.path.append(str(REPO))
+    from perfbench import inputs
 
-
-def perfect_typing(version: int, functions) -> dict:
-    kernel = KernelTree(parse_term(f"{ROOT}({' '.join(functions)})"))
-    typing = find_perfect_typing(TopDownDesign(DTD(ROOT, global_rules(version)), kernel))
-    return dict(typing.items())
+    return inputs
 
 
 def seed_document(function: str, records: int = 8) -> str:
@@ -103,9 +99,10 @@ def _stage_fields(server: ValidationServer) -> dict:
 
 def probe(peers: int, versions: int) -> dict:
     """Run ``versions`` typing changes over ``peers`` peers; per-stage medians and counts."""
+    inputs = perfbench_inputs()
     functions = [f"f{index}" for index in range(1, peers + 1)]
     documents = {function: seed_document(function) for function in functions}
-    kernel = f"{ROOT}({' '.join(functions)})"
+    kernel = inputs.kernel_term(functions)
     server = ValidationServer()
     loop = asyncio.new_event_loop()
     samples: dict[str, list] = {}
@@ -113,7 +110,7 @@ def probe(peers: int, versions: int) -> dict:
     try:
         for version in range(1, versions + 1):
             started = time.perf_counter()
-            typing = perfect_typing(version, functions)
+            typing = inputs.perfect_typing(version, functions)
             typed = time.perf_counter()
             # A fresh engine per typing, so each change renders as a first one would.
             with use_engine(CompilationEngine()), _Counted(to_regex, "nfa_to_regex_text") as rendered:
